@@ -97,7 +97,7 @@ class EncryptionPlan {
   [[nodiscard]] bool row_protected(std::size_t layer, int row) const;
 
   /// The deliberately-unprotected rows of weight layer `layer`, ascending —
-  /// SEAL's exact intended leakage boundary. secure.boundary proves the
+  /// SEAL's exact intended leakage boundary. scheme.boundary proves the
   /// plaintext rows observed on the bus equal this set, no more, no less.
   [[nodiscard]] std::vector<int> plaintext_rows(std::size_t layer) const;
 

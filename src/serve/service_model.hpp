@@ -43,7 +43,7 @@ class ServiceModel {
   ///
   /// `probe_hooks`, when non-empty, must be parallel to `networks`: hook i is
   /// installed as the bus-traffic observer of network i's profiling run (the
-  /// taint auditor behind sealdl-serve --secure-audit). Each hook is touched
+  /// taint auditor behind sealdl-serve --scheme-audit). Each hook is touched
   /// only by its own network's profiling task, so per-network ledgers stay
   /// jobs-invariant.
   ServiceModel(std::vector<NamedNetwork> networks, const sim::GpuConfig& config,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
+#include <string>
 
 namespace sealdl::sim {
 namespace {
@@ -187,6 +189,17 @@ const SchemeInfo* find_scheme(std::string_view name) {
         return name == info.cli_name || name == info.display;
       });
   return it == g_registry.end() ? nullptr : &*it;
+}
+
+const SchemeInfo& parse_scheme(std::string_view name) {
+  if (const SchemeInfo* entry = find_scheme(name)) return *entry;
+  std::string names;
+  for (const SchemeInfo& info : g_registry) {
+    if (!names.empty()) names += '|';
+    names += info.cli_name;
+  }
+  throw std::invalid_argument("unknown --scheme " + std::string(name) + " (" +
+                              names + ")");
 }
 
 const SchemeInfo& default_scheme_for(EncryptionScheme family) {

@@ -41,6 +41,11 @@ struct SchemeInfo {
 /// returns nullptr when unknown.
 [[nodiscard]] const SchemeInfo* find_scheme(std::string_view name);
 
+/// find_scheme() for a `--scheme` flag value: throws std::invalid_argument
+/// listing every registered CLI name when `name` is unknown, so the message
+/// can never drift from the accepted set.
+[[nodiscard]] const SchemeInfo& parse_scheme(std::string_view name);
+
 /// The registry entry whose model a config resolves to when no explicit
 /// model was applied: the canonical full-coverage entry of each family.
 [[nodiscard]] const SchemeInfo& default_scheme_for(EncryptionScheme family);

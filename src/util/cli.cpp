@@ -4,6 +4,27 @@
 
 namespace sealdl::util {
 
+namespace {
+
+/// Parses the whole token with `parse` (std::stoll / std::stod style); a
+/// trailing suffix ("12abc") or an unparsable token throws an error naming
+/// the flag rather than silently truncating or dying with "stod".
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& token,
+                 Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto value = parse(token, &used);
+    if (used == token.size()) return value;
+  } catch (const std::logic_error&) {
+    // invalid_argument / out_of_range: reported below with the flag name.
+  }
+  throw std::invalid_argument("invalid value for --" + name + ": '" + token +
+                              "'");
+}
+
+}  // namespace
+
 CliFlags::CliFlags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -43,13 +64,21 @@ std::int64_t CliFlags::get_int(const std::string& name,
                                std::int64_t fallback) const {
   queried_[name] = true;
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::stoll(it->second);
+  if (it == flags_.end()) return fallback;
+  return parse_whole(name, it->second,
+                     [](const std::string& t, std::size_t* used) {
+                       return static_cast<std::int64_t>(std::stoll(t, used));
+                     });
 }
 
 double CliFlags::get_double(const std::string& name, double fallback) const {
   queried_[name] = true;
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::stod(it->second);
+  if (it == flags_.end()) return fallback;
+  return parse_whole(name, it->second,
+                     [](const std::string& t, std::size_t* used) {
+                       return std::stod(t, used);
+                     });
 }
 
 bool CliFlags::get_bool(const std::string& name, bool fallback) const {

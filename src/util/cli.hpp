@@ -20,6 +20,8 @@ class CliFlags {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
+  /// Numeric getters parse the whole value: anything else (e.g. "12abc")
+  /// throws std::invalid_argument("invalid value for --name: '12abc'").
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;

@@ -163,9 +163,9 @@ void apply_model_injection(AnalysisInput& input) {
       not_applicable(input.inject, "no encrypted conv ifmap channel");
     }
     case Injection::kLayoutWeights:
-    case Injection::kSecureLeak: {
+    case Injection::kAuditLeak: {
       // The same corruption seen from two sides: layout.weights catches the
-      // map/plan disagreement statically, secure.leak catches the plaintext
+      // map/plan disagreement statically, scheme.wire catches the plaintext
       // weight bytes it puts on the bus in the functional audit.
       const auto& plan = require_plan(input);
       for (std::size_t i = 0; i < input.specs.size(); ++i) {
@@ -182,7 +182,7 @@ void apply_model_injection(AnalysisInput& input) {
       }
       not_applicable(input.inject, "no encrypted weight row");
     }
-    case Injection::kSecureBoundary: {
+    case Injection::kAuditBoundary: {
       // Over-protect one deliberately-plain row: the map now encrypts a row
       // the plan exposes, so the observed plaintext set is smaller than the
       // plan's unprotected set.

@@ -21,11 +21,10 @@
 //   trace.order     output stores preceded by a full load barrier
 //   trace.region    stores land in the layer's own output buffer (warning)
 //
-// The taint-ledger rule family (secure.leak / secure.boundary /
-// secure.counter / secure.oracle) lives in verify/secure_checkers.hpp: its
-// checkers consume a recorded bus-traffic ledger rather than an
-// AnalysisInput alone, so they run through run_secure_audit() or a
-// TaintAuditor instead of the Checker interface.
+// The bus-traffic rule family (scheme.*) lives in verify/scheme_checkers.hpp:
+// its checkers consume a recorded taint ledger rather than an AnalysisInput
+// alone, so they run through run_functional_audit() or over a TaintAuditor's
+// timing-run ledger instead of the Checker interface.
 #pragma once
 
 #include <memory>

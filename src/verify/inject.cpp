@@ -28,10 +28,11 @@ const std::vector<InjectionInfo>& table() {
       {Injection::kTraceWait, "trace-wait", {"trace.wait"}},
       {Injection::kTraceOrder, "trace-order", {"trace.order"}},
       {Injection::kTraceRegion, "trace-region", {"trace.region"}},
-      {Injection::kSecureLeak, "secure-leak", {"secure.leak"}},
-      {Injection::kSecureBoundary, "secure-boundary", {"secure.boundary"}},
-      {Injection::kSecureCounter, "secure-counter", {"secure.counter"}},
-      {Injection::kSecureOracle, "secure-oracle", {"secure.oracle"}},
+      // Staged in the functional scheme.* harness (run_functional_audit).
+      {Injection::kAuditLeak, "audit-leak", {"scheme.wire"}},
+      {Injection::kAuditBoundary, "audit-boundary", {"scheme.boundary"}},
+      {Injection::kAuditCounter, "audit-counter", {"scheme.metadata"}},
+      {Injection::kAuditOracle, "audit-oracle", {"scheme.oracle"}},
   };
   return kTable;
 }

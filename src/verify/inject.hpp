@@ -31,10 +31,10 @@ enum class Injection {
   kTraceWait,      ///< raise a WaitLoads threshold beyond any possible depth
   kTraceOrder,     ///< drop the WaitLoads barriers before output stores
   kTraceRegion,    ///< shift output stores into a foreign region
-  kSecureLeak,     ///< un-mark a protected weight row: its plaintext hits the bus
-  kSecureBoundary, ///< force-encrypt a deliberately-plain row: boundary shrinks
-  kSecureCounter,  ///< detach the probe before the counter flush (pre-PR4 bug)
-  kSecureOracle,   ///< forge a capture whose encrypted flag lies about the wire
+  kAuditLeak,      ///< un-mark a protected weight row: its plaintext hits the bus
+  kAuditBoundary,  ///< force-encrypt a deliberately-plain row: boundary shrinks
+  kAuditCounter,   ///< detach the probe before the counter flush
+  kAuditOracle,    ///< forge a capture whose encrypted flag lies about the wire
 };
 
 /// All injections, in declaration order (excluding kNone).

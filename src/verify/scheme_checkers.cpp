@@ -1,13 +1,14 @@
 #include "verify/scheme_checkers.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <set>
 #include <string_view>
 
 #include "crypto/modes.hpp"
+#include "sim/functional_memory.hpp"
 #include "sim/mem_controller.hpp"
-#include "verify/secure_checkers.hpp"
 
 namespace sealdl::verify {
 
@@ -30,8 +31,48 @@ std::uint64_t cipher_bytes(const TaintCounts& counts) {
          dir_sum(counts, TaintClass::kFmapCipher);
 }
 
+/// What a scheme requires of a line's wire image.
+enum class WirePolicy : std::uint8_t { kMustCipher, kMustPlain };
+
+/// Plan-derived wire policy of one line under SEAL selective encryption:
+/// weight rows follow the plan's protected set, fmap channels the consumer
+/// rule, dense FC vectors the any-encrypted-feature-in-line rule, and the
+/// network output buffer is always ciphertext. Judging the wire against the
+/// *plan* (not the secure map) catches a secure map that drifted from it.
+WirePolicy plan_line_policy(const AnalysisInput& input, const Region& region,
+                            sim::Addr line_addr) {
+  if (!input.plan) return WirePolicy::kMustPlain;
+  // The network output buffer is always encrypted under SEAL.
+  if (region.spec_index >= input.specs.size()) return WirePolicy::kMustCipher;
+  const std::uint64_t off = line_addr - region.begin;
+  if (region.kind == Region::Kind::kWeights) {
+    const int lp_idx = input.plan_index[region.spec_index];
+    const int row = static_cast<int>(off / region.pitch);
+    return input.plan->row_protected(static_cast<std::size_t>(lp_idx), row)
+               ? WirePolicy::kMustCipher
+               : WirePolicy::kMustPlain;
+  }
+  const int cp = input.consumer_plan_index(region.spec_index);
+  if (cp < 0) return WirePolicy::kMustPlain;
+  const auto& lp = input.plan->layer(static_cast<std::size_t>(cp));
+  if (region.dense_fc) {
+    // 32 features per line; the line is ciphertext iff any feature in it is
+    // encrypted (mirrors SecureMap::line_is_secure over the 4-byte marks).
+    const int features = input.specs[region.spec_index].in_features;
+    const int f0 = static_cast<int>(off / 4);
+    const int f1 = std::min(features, f0 + static_cast<int>(kLine / 4));
+    for (int f = f0; f < f1; ++f) {
+      if (row_encrypted_safe(lp, f)) return WirePolicy::kMustCipher;
+    }
+    return WirePolicy::kMustPlain;
+  }
+  const int channel = static_cast<int>(off / region.pitch);
+  return row_encrypted_safe(lp, channel) ? WirePolicy::kMustCipher
+                                         : WirePolicy::kMustPlain;
+}
+
 /// The contract's wire policy for one data line. nullopt = the contract does
-/// not constrain this line (e.g. an untagged address).
+/// not constrain this line.
 std::optional<WirePolicy> wire_policy(const sim::SchemeContract& contract,
                                       const AnalysisInput& input,
                                       const Region& region,
@@ -81,11 +122,168 @@ struct TimingProbe {
   }
 };
 
+// --- functional harness internals -------------------------------------------
+
+/// Stride-scan cap for dense FC fmap regions (they have no per-unit
+/// structure; the first and last lines are always included).
+constexpr std::uint64_t kMaxLinesPerRegion = 2048;
+/// Data lines replayed through the counter-mode memory controller.
+constexpr std::uint64_t kCounterReplayLines = 96;
+
+/// splitmix64: the audit's known-plaintext generator. Purely a function of
+/// the byte address, so writer and checker agree without shared state.
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+void fill_expected_plaintext(sim::Addr line_addr,
+                             std::span<std::uint8_t> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint64_t word = mix64(line_addr + (i & ~std::uint64_t{7}));
+    out[i] = static_cast<std::uint8_t>(word >> ((i & 7) * 8));
+  }
+}
+
+/// The transcript's line sample for one region: the first line of every
+/// row/channel (full unit coverage, what makes the boundary equality total)
+/// and its last, and a capped stride scan for dense FC vectors that have no
+/// per-unit structure.
+std::vector<sim::Addr> sampled_lines(const Region& region) {
+  std::vector<sim::Addr> lines;
+  if (region.end <= region.begin || region.pitch == 0) return lines;
+  if (!region.dense_fc && region.pitch >= kLine && region.units > 0) {
+    for (int u = 0; u < region.units; ++u) {
+      const sim::Addr base =
+          region.begin + static_cast<std::uint64_t>(u) * region.pitch;
+      lines.push_back(base);
+      if (region.pitch > kLine) {
+        lines.push_back(base + region.pitch - kLine);
+      }
+    }
+    return lines;
+  }
+  const std::uint64_t nlines = (region.end - region.begin) / kLine;
+  const std::uint64_t step = std::max<std::uint64_t>(1, nlines / kMaxLinesPerRegion);
+  for (std::uint64_t k = 0; k < nlines; k += step) {
+    lines.push_back(region.begin + k * kLine);
+  }
+  const sim::Addr last = region.end - kLine;
+  if (lines.empty() || lines.back() != last) lines.push_back(last);
+  return lines;
+}
+
+/// Writes the known plaintext image through a FunctionalMemory configured
+/// for `entry`, reads it back, and checks the observed wire.
+void functional_transcript(const AnalysisInput& input,
+                           const sim::SchemeInfo& entry, Report& report) {
+  crypto::Key128 key{};
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(i * 17 + 3);
+  }
+  sim::FunctionalMemory memory(entry.family, entry.selective(),
+                               &input.heap.secure_map(), key);
+  TaintLedger ledger;
+  TaintProbe probe(&input, &ledger);
+  memory.set_probe(&probe);
+
+  std::vector<sim::Addr> lines;
+  for (const Region& region : input.regions) {
+    const auto sampled = sampled_lines(region);
+    lines.insert(lines.end(), sampled.begin(), sampled.end());
+  }
+
+  std::array<std::uint8_t, kLine> buf{};
+  for (const sim::Addr addr : lines) {
+    fill_expected_plaintext(addr, buf);
+    memory.write(addr, buf);
+  }
+  for (const sim::Addr addr : lines) memory.read(addr, buf);
+
+  if (input.inject == Injection::kAuditOracle && !ledger.captures().empty()) {
+    // Forge one observation whose encrypted flag lies: prefer a line that
+    // really was ciphertext, fall back to any capture. The ledger's byte
+    // counts are untouched — only the known-plaintext cross-check can see it.
+    sim::Addr target = ledger.captures().begin()->first;
+    for (const auto& [addr, image] : ledger.captures()) {
+      if (image.encrypted) {
+        target = addr;
+        break;
+      }
+    }
+    fill_expected_plaintext(target, buf);
+    probe.on_data(target, buf, /*is_write=*/false, /*encrypted=*/true);
+  }
+
+  SchemeRunEvidence evidence;
+  evidence.input = &input;
+  evidence.ledger = &ledger;
+  evidence.full_coverage = true;
+  check_scheme_wire(entry, evidence, report);
+  check_scheme_boundary(entry, evidence, report);
+  check_scheme_oracle(evidence, report);
+}
+
+/// Replays data traffic through a real counter-mode memory controller —
+/// counter cache, metadata fills/writebacks, and the end-of-run flush drain —
+/// and reconciles the controller's accounting with what the bus probe saw.
+void counter_replay(const AnalysisInput& input, Report& report) {
+  const sim::SchemeInfo& entry =
+      sim::default_scheme_for(sim::EncryptionScheme::kCounter);
+  SchemeRunEvidence evidence;
+  evidence.input = &input;
+  evidence.config = sim::GpuConfig::gtx480();
+  sim::apply_scheme(entry, evidence.config);
+  sim::MemoryController controller(evidence.config, &input.heap.secure_map());
+  TaintLedger ledger;
+  TaintProbe probe(&input, &ledger);
+  controller.set_probe(&probe);
+
+  sim::Cycle now = 0;
+  std::uint64_t replayed = 0;
+  for (const Region& region : input.regions) {
+    if (region.kind != Region::Kind::kWeights) continue;
+    for (sim::Addr addr = region.begin;
+         addr < region.end && replayed < kCounterReplayLines; addr += kLine) {
+      // Writes dirty counter-cache lines, so the final flush has metadata
+      // writebacks to drain — the exact path the reconciliation guards.
+      now = controller.write_line(now, addr);
+      now = controller.read_line(now, addr);
+      ++replayed;
+    }
+    if (replayed >= kCounterReplayLines) break;
+  }
+  if (input.inject == Injection::kAuditCounter) {
+    // Reproduce the unobserved-flush accounting bug: the flush drains dirty
+    // counter lines onto the bus with nobody watching.
+    controller.set_probe(nullptr);
+  }
+  controller.flush(now);
+
+  controller.accumulate(evidence.stats);
+  evidence.ledger = &ledger;
+  check_scheme_metadata(entry, evidence, report);
+  // Every byte the controller moved (data + metadata) crossed the probe.
+  const std::uint64_t controller_total = controller.read_bytes() +
+                                         controller.write_bytes() +
+                                         controller.counter_traffic_bytes();
+  if (controller_total != ledger.total_bytes()) {
+    add_error(report, "scheme.metadata", entry.cli_name, 0, 0,
+              "controller byte accounting (" +
+                  std::to_string(controller_total) +
+                  ") does not reconcile with bus-probe total (" +
+                  std::to_string(ledger.total_bytes()) + ")");
+  }
+}
+
 }  // namespace
 
 std::vector<std::string> scheme_rules() {
   return {"scheme.registry", "scheme.wire",     "scheme.boundary",
-          "scheme.metadata", "scheme.coverage", "scheme.timing"};
+          "scheme.metadata", "scheme.coverage", "scheme.timing",
+          "scheme.oracle"};
 }
 
 void check_scheme_registry(std::span<const sim::SchemeInfo> entries,
@@ -231,10 +429,15 @@ void check_scheme_wire(const sim::SchemeInfo& entry,
                        const SchemeRunEvidence& evidence, Report& report) {
   const AnalysisInput& input = *evidence.input;
   const sim::SchemeContract& contract = entry.model->contract();
+  std::uint64_t untagged = 0;
   for (const auto& [addr, counts] : evidence.ledger->lines()) {
     if (addr >= sim::kCounterRegionBase) continue;
     const Region* region = input.region_at(addr);
-    if (region == nullptr) continue;  // untagged: secure.leak's warning
+    if (region == nullptr) {
+      untagged += dir_sum(counts, TaintClass::kUntagged) +
+                  plain_bytes(counts) + cipher_bytes(counts);
+      continue;
+    }
     const auto policy = wire_policy(contract, input, *region, addr);
     if (!policy) continue;
     const std::uint64_t plain = plain_bytes(counts);
@@ -251,6 +454,16 @@ void check_scheme_wire(const sim::SchemeInfo& entry,
                     region->name + " on the bus, but " + entry.cli_name +
                     "'s contract leaves this address unprotected");
     }
+  }
+  if (untagged > 0) {
+    report.add({.rule = "scheme.wire",
+                .severity = Severity::kWarning,
+                .layer = "",
+                .begin = 0,
+                .end = 0,
+                .message = std::to_string(untagged) +
+                           " byte(s) crossed the bus outside every known "
+                           "region (untagged provenance)"});
   }
 }
 
@@ -310,8 +523,37 @@ void check_scheme_boundary(const sim::SchemeInfo& entry,
                       " is outside " + entry.cli_name +
                       "'s protection boundary but crossed the bus only as "
                       "ciphertext — the boundary grew");
+      } else if (evidence.full_coverage && !seen_plain[ri] && !seen_cipher[ri]) {
+        add_error(report, "scheme.boundary", region.name, row_begin,
+                  row_begin + region.pitch,
+                  "row " + std::to_string(r) + " of " + region.name +
+                      " was never observed by the functional transcript");
       }
     }
+  }
+}
+
+void check_scheme_metadata_ledger(const sim::SchemeInfo& entry,
+                                  const TaintLedger& ledger,
+                                  std::uint64_t controller_counter_bytes,
+                                  Report& report) {
+  const std::uint64_t ledger_meta = ledger.class_bytes(TaintClass::kCounterMeta);
+  if (entry.model->contract().metadata == sim::MetadataModel::kNone) {
+    if (ledger_meta != 0 || controller_counter_bytes != 0) {
+      add_error(report, "scheme.metadata", entry.cli_name, 0, 0,
+                "counter metadata under a scheme declaring none (controller " +
+                    std::to_string(controller_counter_bytes) + " B, ledger " +
+                    std::to_string(ledger_meta) + " B)");
+    }
+    return;
+  }
+  if (ledger_meta != controller_counter_bytes) {
+    add_error(report, "scheme.metadata", entry.cli_name, 0, 0,
+              "counter-region bytes on the bus (" +
+                  std::to_string(ledger_meta) +
+                  ") do not reconcile with the controllers' metadata "
+                  "accounting (" +
+                  std::to_string(controller_counter_bytes) + ")");
   }
 }
 
@@ -319,17 +561,14 @@ void check_scheme_metadata(const sim::SchemeInfo& entry,
                            const SchemeRunEvidence& evidence, Report& report) {
   const sim::SimStats& stats = evidence.stats;
   const std::string name = entry.cli_name;
-  const std::uint64_t ledger_meta =
-      evidence.ledger->class_bytes(TaintClass::kCounterMeta);
+  check_scheme_metadata_ledger(entry, *evidence.ledger,
+                               stats.counter_traffic_bytes, report);
   if (entry.model->contract().metadata == sim::MetadataModel::kNone) {
-    if (stats.counter_traffic_bytes != 0 || stats.counter_hits != 0 ||
-        stats.counter_misses != 0 || ledger_meta != 0) {
+    if (stats.counter_hits != 0 || stats.counter_misses != 0) {
       add_error(report, "scheme.metadata", name, 0, 0,
-                "counter metadata under a scheme declaring none (controller " +
-                    std::to_string(stats.counter_traffic_bytes) +
-                    " B, ledger " + std::to_string(ledger_meta) + " B, " +
-                    std::to_string(stats.counter_hits + stats.counter_misses) +
-                    " cache lookups)");
+                std::to_string(stats.counter_hits + stats.counter_misses) +
+                    " counter-cache lookup(s) under a scheme declaring no "
+                    "metadata");
     }
     return;
   }
@@ -353,14 +592,6 @@ void check_scheme_metadata(const sim::SchemeInfo& entry,
                   " B) != misses x line bytes (" +
                   std::to_string(stats.counter_misses) + " x " +
                   std::to_string(evidence.config.line_bytes) + ")");
-  }
-  if (ledger_meta != stats.counter_traffic_bytes) {
-    add_error(report, "scheme.metadata", name, 0, 0,
-              "counter-region bytes on the bus (" +
-                  std::to_string(ledger_meta) +
-                  ") do not reconcile with the controllers' metadata "
-                  "accounting (" +
-                  std::to_string(stats.counter_traffic_bytes) + ")");
   }
 }
 
@@ -413,6 +644,27 @@ void check_scheme_coverage(const sim::SchemeInfo& entry,
   }
 }
 
+void check_scheme_oracle(const SchemeRunEvidence& evidence, Report& report) {
+  std::array<std::uint8_t, kLine> expected{};
+  for (const auto& [addr, image] : evidence.ledger->captures()) {
+    if (addr >= sim::kCounterRegionBase) continue;
+    if (evidence.input->region_at(addr) == nullptr) continue;
+    fill_expected_plaintext(addr, expected);
+    const bool equal =
+        image.size == kLine &&
+        std::equal(expected.begin(), expected.end(), image.bytes.begin());
+    if (image.encrypted && equal) {
+      add_error(report, "scheme.oracle", "", addr, addr + kLine,
+                "encrypted flag claims ciphertext but the wire bytes equal "
+                "the known plaintext — the flag lied");
+    } else if (!image.encrypted && !equal) {
+      add_error(report, "scheme.oracle", "", addr, addr + kLine,
+                "plaintext-flagged transfer does not match the known "
+                "plaintext image");
+    }
+  }
+}
+
 Report run_scheme_conformance(const sim::SchemeInfo& entry,
                               const SchemeRunEvidence& evidence) {
   Report report;
@@ -423,6 +675,35 @@ Report run_scheme_conformance(const sim::SchemeInfo& entry,
   check_scheme_metadata(entry, evidence, report);
   check_scheme_coverage(entry, evidence, report);
   return report;
+}
+
+int run_functional_audit(const AnalysisInput& input, Report& report,
+                         const sim::SchemeInfo* only) {
+  int transcribed = 0;
+  bool any_counter = false;
+  for (const sim::SchemeInfo& entry : sim::scheme_registry()) {
+    if (only != nullptr ? &entry != only : !entry.paper) continue;
+    if (entry.scope == sim::ProtectionScope::kPlanRows && !input.plan) continue;
+    functional_transcript(input, entry, report);
+    ++transcribed;
+    any_counter |= entry.model->contract().metadata ==
+                   sim::MetadataModel::kCounterLines;
+  }
+  if (any_counter) counter_replay(input, report);
+  return transcribed;
+}
+
+const sim::SchemeInfo* functional_audit_scheme(Injection injection) {
+  switch (injection) {
+    case Injection::kAuditLeak:
+    case Injection::kAuditBoundary:
+    case Injection::kAuditOracle:
+      return sim::find_scheme("seal-d");
+    case Injection::kAuditCounter:
+      return sim::find_scheme("counter");
+    default:
+      return nullptr;
+  }
 }
 
 const std::vector<SchemeInjection>& all_scheme_injections() {

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 #include "sim/mem_controller.hpp"
-#include "verify/secure_checkers.hpp"
+#include "verify/scheme_checkers.hpp"
 
 namespace sealdl::verify {
 
@@ -168,13 +169,22 @@ void TaintAuditor::merge_probe(std::unique_ptr<sim::BusProbe> probe,
 
 Report TaintAuditor::check(sim::EncryptionScheme scheme, bool selective,
                            std::uint64_t counter_traffic_bytes) const {
-  Report report;
-  check_taint_ledger(*input_, ledger_, scheme, selective, report);
-  if (selective && input_->plan) {
-    check_secure_boundary(*input_, ledger_, /*require_full_coverage=*/false,
-                          report);
+  const auto registry = sim::scheme_registry();
+  const auto entry = std::find_if(
+      registry.begin(), registry.end(), [&](const sim::SchemeInfo& info) {
+        return info.paper && info.family == scheme &&
+               info.selective() == selective;
+      });
+  if (entry == registry.end()) {
+    throw std::invalid_argument("TaintAuditor::check: no paper scheme matches");
   }
-  check_counter_reconciliation(ledger_, counter_traffic_bytes, scheme, report);
+  SchemeRunEvidence evidence;
+  evidence.input = input_;
+  evidence.ledger = &ledger_;
+  Report report;
+  check_scheme_wire(*entry, evidence, report);
+  check_scheme_boundary(*entry, evidence, report);
+  check_scheme_metadata_ledger(*entry, ledger_, counter_traffic_bytes, report);
   return report;
 }
 

@@ -7,7 +7,7 @@
 // reproduces the exact layout the runner builds) and accumulates a per-line,
 // per-direction TaintLedger; in functional mode it additionally captures the
 // raw wire image of each line for known-plaintext cross-checks. The
-// secure.* rule family (verify/secure_checkers.hpp) proves the per-scheme
+// scheme.* rule family (verify/scheme_checkers.hpp) proves the per-scheme
 // no-plaintext-leakage invariant on top of the ledger.
 //
 // TaintAuditor plugs the probe into a timing run through
@@ -143,10 +143,14 @@ class TaintAuditor final : public workload::BusProbeHook {
   [[nodiscard]] const TaintLedger& ledger() const { return ledger_; }
   [[nodiscard]] const AnalysisInput& input() const { return *input_; }
 
-  /// Runs the secure.* ledger checkers over the accumulated traffic of a
-  /// timing run. `counter_traffic_bytes` is the controllers' own metadata
-  /// accounting (summed sim::SimStats::counter_traffic_bytes), which
-  /// secure.counter reconciles against the ledger's counter-region bytes.
+  /// Ledger-only audit of a paper-scheme timing run: scheme.wire,
+  /// scheme.boundary and the ledger-vs-controller clause of scheme.metadata
+  /// for the paper registry entry (`scheme`, `selective`) names.
+  /// `counter_traffic_bytes` is the controllers' own metadata accounting
+  /// (summed sim::SimStats::counter_traffic_bytes). The tools audit through
+  /// run_scheme_conformance() instead; this signature stays because the
+  /// host-time benchmark (perfbench/) calls it and must keep building
+  /// unchanged. Throws std::invalid_argument when no paper entry matches.
   [[nodiscard]] Report check(sim::EncryptionScheme scheme, bool selective,
                              std::uint64_t counter_traffic_bytes) const;
 

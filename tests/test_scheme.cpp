@@ -83,7 +83,7 @@ TEST(SchemeRegistry, DuplicateNameFails) {
 // canonical family coverage breaks as soon as a family's entry disappears.
 TEST(SchemeRegistry, RuleListMatchesFamilyCount) {
   const auto rules = verify::scheme_rules();
-  EXPECT_EQ(rules.size(), 6u);
+  EXPECT_EQ(rules.size(), 7u);  // six timing-run rules + scheme.oracle
   const std::set<std::string> unique(rules.begin(), rules.end());
   EXPECT_EQ(unique.size(), rules.size());
   for (const std::string& rule : rules) {

@@ -1,6 +1,6 @@
 // Byte-provenance taint analysis: ledger semantics, SecureMap provenance
-// queries, the functional secure.* audit across all five schemes, seeded
-// secure-* injections, and jobs-invariance of a live timing-run ledger.
+// queries, the functional scheme.* audit across all five paper schemes,
+// seeded audit-* injections, and jobs-invariance of a live timing-run ledger.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,7 +12,7 @@
 #include "sim/gpu_config.hpp"
 #include "sim/secure_map.hpp"
 #include "verify/analysis.hpp"
-#include "verify/secure_checkers.hpp"
+#include "verify/scheme_checkers.hpp"
 #include "verify/taint.hpp"
 #include "workload/network_runner.hpp"
 
@@ -124,40 +124,72 @@ TEST(SecureMapProvenance, SecureBytesInAtLineBoundaries) {
 
 // ------------------------------------------------------- functional audit ---
 
-TEST(SecureAudit, AllSchemesCleanOnUnmodifiedPlan) {
+TEST(FunctionalAudit, AllSchemesCleanOnUnmodifiedPlan) {
   for (const double ratio : {0.4, 0.5}) {
     const AnalysisInput input = small_input(Injection::kNone, true, ratio);
     Report report;
-    run_secure_audit(input, SecureAuditOptions{}, report);  // all five schemes
+    run_functional_audit(input, report);  // all five paper schemes
     EXPECT_EQ(report.error_count(), 0u)
         << "ratio " << ratio << "\n"
         << report.to_text();
   }
 }
 
-TEST(SecureAudit, BaselineInputAuditsWithoutPlan) {
+TEST(FunctionalAudit, BaselineInputAuditsWithoutPlan) {
   const AnalysisInput input = small_input(Injection::kNone, false);
   Report report;
-  run_secure_audit(input, SecureAuditOptions{}, report);
+  run_functional_audit(input, report);
   EXPECT_EQ(report.error_count(), 0u) << report.to_text();
 }
 
-TEST(SecureAudit, EverySecureInjectionFires) {
+TEST(FunctionalAudit, EveryAuditInjectionFires) {
   for (const Injection injection :
-       {Injection::kSecureLeak, Injection::kSecureBoundary,
-        Injection::kSecureCounter, Injection::kSecureOracle}) {
-    ASSERT_TRUE(is_secure_injection(injection));
+       {Injection::kAuditLeak, Injection::kAuditBoundary,
+        Injection::kAuditCounter, Injection::kAuditOracle}) {
+    const sim::SchemeInfo* scheme = functional_audit_scheme(injection);
+    ASSERT_NE(scheme, nullptr) << injection_name(injection);
     const AnalysisInput input = small_input(injection);
-    SecureAuditOptions audit;
-    audit.schemes = audit_schemes_for(injection);
     Report report;
-    run_secure_audit(input, audit, report);
+    run_functional_audit(input, report, scheme);
     for (const std::string& rule : expected_rules(injection)) {
       EXPECT_TRUE(report.fired(rule))
           << injection_name(injection) << " did not fire " << rule << "\n"
           << report.to_text();
     }
   }
+  EXPECT_EQ(functional_audit_scheme(Injection::kPlanShape), nullptr);
+}
+
+TEST(FunctionalAudit, UnobservedRowBreaksFullCoverage) {
+  // A transcript that never touched a weight row cannot prove the boundary
+  // equality total: with full coverage claimed, the empty ledger must fire.
+  const AnalysisInput input = small_input();
+  const TaintLedger empty;
+  SchemeRunEvidence evidence;
+  evidence.input = &input;
+  evidence.ledger = &empty;
+  Report partial;
+  check_scheme_boundary(*sim::find_scheme("seal-d"), evidence, partial);
+  EXPECT_EQ(partial.error_count(), 0u) << partial.to_text();
+  evidence.full_coverage = true;
+  Report full;
+  check_scheme_boundary(*sim::find_scheme("seal-d"), evidence, full);
+  EXPECT_TRUE(full.fired("scheme.boundary"));
+}
+
+TEST(FunctionalAudit, UntaggedBytesWarn) {
+  const AnalysisInput input = small_input();
+  TaintLedger ledger;
+  ledger.record(input.heap.base() + (1ull << 40), static_cast<std::uint32_t>(kLine),
+                /*is_write=*/false, TaintClass::kUntagged);
+  SchemeRunEvidence evidence;
+  evidence.input = &input;
+  evidence.ledger = &ledger;
+  Report report;
+  check_scheme_wire(*sim::find_scheme("direct"), evidence, report);
+  EXPECT_EQ(report.error_count(), 0u) << report.to_text();
+  EXPECT_EQ(report.warning_count(), 1u) << report.to_text();
+  EXPECT_TRUE(report.fired("scheme.wire"));
 }
 
 // ------------------------------------------------------- timing-run audit ---

@@ -3,7 +3,7 @@
 
 #include <cmath>
 #include <set>
-
+#include <stdexcept>
 #include <string>
 
 #include "util/cli.hpp"
@@ -219,6 +219,39 @@ TEST(Cli, MissingFlagFallsBack) {
   CliFlags flags(1, const_cast<char**>(argv));
   EXPECT_EQ(flags.get_int("n", 17), 17);
   EXPECT_FALSE(flags.has("n"));
+}
+
+/// The message a numeric getter throws for `name`, or "" if it parsed.
+template <typename Get>
+std::string numeric_error(Get get) {
+  try {
+    get();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Cli, NumericFlagsMustParseWholeToken) {
+  const char* argv[] = {"prog",    "--tiles", "12abc", "--ratio", "abc",
+                        "--gamma", "1.5x",    "--big", "99999999999999999999",
+                        "--neg",   "-5",      "--flag"};
+  CliFlags flags(12, const_cast<char**>(argv));
+  EXPECT_EQ(numeric_error([&] { (void)flags.get_int("tiles", 0); }),
+            "invalid value for --tiles: '12abc'");
+  EXPECT_EQ(numeric_error([&] { (void)flags.get_double("ratio", 0.0); }),
+            "invalid value for --ratio: 'abc'");
+  EXPECT_EQ(numeric_error([&] { (void)flags.get_double("gamma", 0.0); }),
+            "invalid value for --gamma: '1.5x'");
+  // Out of range is as invalid as garbage.
+  EXPECT_EQ(numeric_error([&] { (void)flags.get_int("big", 0); }),
+            "invalid value for --big: '99999999999999999999'");
+  // A bare boolean flag has no number to read.
+  EXPECT_EQ(numeric_error([&] { (void)flags.get_int("flag", 0); }),
+            "invalid value for --flag: 'true'");
+  // Negative values parse; range checks belong to the caller.
+  EXPECT_EQ(flags.get_int("neg", 0), -5);
+  EXPECT_DOUBLE_EQ(flags.get_double("neg", 0.0), -5.0);
 }
 
 // Minimal RFC 8259 string-body decoder: the inverse of JsonWriter::escape.

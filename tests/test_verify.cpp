@@ -11,7 +11,7 @@
 #include "verify/checker.hpp"
 #include "verify/diagnostics.hpp"
 #include "verify/inject.hpp"
-#include "verify/secure_checkers.hpp"
+#include "verify/scheme_checkers.hpp"
 
 namespace sealdl::verify {
 namespace {
@@ -78,13 +78,11 @@ TEST(VerifyInject, EveryRuleFires) {
     options.inject = injection;
     const AnalysisInput input = build_input(specs, options);
     Report report = run_checkers(input, default_checkers(fast_trace()));
-    // The secure.* rules consume a bus ledger, not the AnalysisInput alone:
-    // route their injections through the functional taint audit, over the
+    // The scheme.* rules consume a bus ledger, not the AnalysisInput alone:
+    // route audit-* injections through the functional taint audit, over the
     // one scheme each injection targets (same path sealdl-check takes).
-    if (is_secure_injection(injection)) {
-      SecureAuditOptions audit;
-      audit.schemes = audit_schemes_for(injection);
-      run_secure_audit(input, audit, report);
+    if (const sim::SchemeInfo* scheme = functional_audit_scheme(injection)) {
+      run_functional_audit(input, report, scheme);
     }
     for (const std::string& rule : expected_rules(injection)) {
       EXPECT_TRUE(report.fired(rule))

@@ -5,14 +5,14 @@
 //
 //   sealdl-check --workload vgg16 --ratio 0.5
 //   sealdl-check --workload resnet18 --ratio 0.4 --json report.json
-//   sealdl-check --workload vgg16 --secure-audit   # + functional taint audit
+//   sealdl-check --workload vgg16 --scheme-audit   # + functional taint audit
 //   sealdl-check --workload resnet34 --inject all   # every rule must fire
 //   sealdl-check --list-rules
 //
-// --secure-audit additionally runs the byte-provenance taint audit: a
-// functional-memory transcript of every scheme's bus traffic, checked by the
-// secure.* rules (docs/ANALYSIS.md, "Security analysis"). secure-* injections
-// route through the audit automatically.
+// --scheme-audit additionally runs the byte-provenance taint audit: a
+// functional-memory transcript of every paper scheme's bus traffic, checked
+// by the scheme.* rules (docs/ANALYSIS.md, "Security analysis"). audit-*
+// injections route through the audit automatically.
 //
 // Exit codes: 0 = clean (or every injected violation was caught),
 // 1 = findings (or an injection went undetected), 2 = usage error.
@@ -30,7 +30,6 @@
 #include "verify/fleet_checkers.hpp"
 #include "verify/profile_checkers.hpp"
 #include "verify/scheme_checkers.hpp"
-#include "verify/secure_checkers.hpp"
 #include "verify/serve_checkers.hpp"
 
 using namespace sealdl;
@@ -88,14 +87,10 @@ std::vector<CatalogRule> rule_catalog() {
   for (const std::string& rule : verify::profile_rules()) {
     catalog.push_back({rule, "validated by sealdl-sim/sealdl-serve"});
   }
-  for (const std::string& rule : verify::secure_rules()) {
-    catalog.push_back({rule,
-                       "taint audit: --secure-audit here / in sealdl-sim "
-                       "and sealdl-serve"});
-  }
   for (const std::string& rule : verify::scheme_rules()) {
-    catalog.push_back(
-        {rule, "scheme conformance: sealdl-sim --scheme-audit"});
+    catalog.push_back({rule,
+                       "scheme audit: --scheme-audit here / in sealdl-sim "
+                       "and sealdl-serve"});
   }
   for (const std::string& rule : verify::lock_audit_rules()) {
     catalog.push_back({rule, "runtime lock auditor, SEALDL_LOCK_AUDIT"});
@@ -170,7 +165,7 @@ void write_json_catalog(const std::string& path) {
 
 void write_json_report(const std::string& path, const std::string& workload,
                        const verify::BuildOptions& options,
-                       const verify::Report& report, bool secure_audit) {
+                       const verify::Report& report, bool scheme_audit) {
   util::JsonWriter json;
   json.begin_object();
   json.field("tool", "sealdl-check");
@@ -178,7 +173,7 @@ void write_json_report(const std::string& path, const std::string& workload,
   json.field("workload", workload);
   json.field("selective", options.selective);
   json.field("encryption_ratio", options.plan.encryption_ratio);
-  json.field("secure_audit", secure_audit);
+  json.field("scheme_audit", scheme_audit);
   if (options.inject != verify::Injection::kNone) {
     json.field("inject", verify::injection_name(options.inject));
   }
@@ -197,9 +192,10 @@ struct InjectOutcome {
   std::uint64_t warnings = 0;
 };
 
-/// Runs one injection and verifies its expected rules all fired. Secure
-/// injections additionally run the taint audit over the schemes they target,
-/// since the secure.* rules consume a bus ledger, not the AnalysisInput alone.
+/// Runs one injection and verifies its expected rules all fired. audit-*
+/// injections additionally run the functional audit over the scheme they
+/// target, since the scheme.* rules consume a bus ledger, not the
+/// AnalysisInput alone.
 bool run_injection(const std::vector<models::LayerSpec>& specs,
                    verify::BuildOptions options, verify::Injection injection,
                    const verify::TraceCheckOptions& trace_options,
@@ -208,10 +204,8 @@ bool run_injection(const std::vector<models::LayerSpec>& specs,
   const verify::AnalysisInput input = verify::build_input(specs, options);
   verify::Report report =
       verify::run_checkers(input, verify::default_checkers(trace_options));
-  if (verify::is_secure_injection(injection)) {
-    verify::SecureAuditOptions audit;
-    audit.schemes = verify::audit_schemes_for(injection);
-    verify::run_secure_audit(input, audit, report);
+  if (const sim::SchemeInfo* scheme = verify::functional_audit_scheme(injection)) {
+    verify::run_functional_audit(input, report, scheme);
   }
   bool caught = true;
   for (const std::string& rule : verify::expected_rules(injection)) {
@@ -308,7 +302,7 @@ int main(int argc, char** argv) {
     const std::string inject_name = flags.get("inject", "");
     const std::string json_path = flags.get("json", "");
     const bool strict = flags.get_bool("strict", false);
-    const bool secure_audit = flags.get_bool("secure-audit", false);
+    const bool scheme_audit = flags.get_bool("scheme-audit", false);
 
     const auto unused = flags.unused();
     if (!unused.empty()) {
@@ -372,14 +366,13 @@ int main(int argc, char** argv) {
     const verify::AnalysisInput input = verify::build_input(specs, options);
     verify::Report report =
         verify::run_checkers(input, verify::default_checkers(trace_options));
-    if (secure_audit) {
-      verify::run_secure_audit(input, verify::SecureAuditOptions{}, report);
-      std::printf("secure audit: %d scheme configuration(s) transcribed\n",
-                  input.plan ? 5 : 3);
+    if (scheme_audit) {
+      std::printf("scheme audit: %d paper scheme(s) transcribed\n",
+                  verify::run_functional_audit(input, report));
     }
     std::printf("%s", report.to_text().c_str());
     if (!json_path.empty()) {
-      write_json_report(json_path, workload, options, report, secure_audit);
+      write_json_report(json_path, workload, options, report, scheme_audit);
     }
     const bool fail =
         report.error_count() > 0 || (strict && report.warning_count() > 0);

@@ -30,9 +30,10 @@
 //                             per-request lifecycle stage decomposition,
 //                             one NDJSON record per request
 //
-// --secure-audit attaches one byte-provenance taint probe per served network
-// during the profiling stage and proves the secure.* no-leakage invariants
-// over each recorded bus ledger before the server starts (docs/ANALYSIS.md,
+// --scheme-audit attaches one byte-provenance taint probe per served network
+// during the profiling stage and proves each profiling run against the
+// scheme's declared contract (the scheme.* rule family) before the server
+// starts — every registered scheme, paper and rival alike (docs/ANALYSIS.md,
 // "Security analysis").
 //
 // Exit codes: 0 success, 1 runtime error, 2 invalid serving configuration —
@@ -57,25 +58,12 @@
 #include "util/table.hpp"
 #include "verify/fleet_checkers.hpp"
 #include "verify/profile_checkers.hpp"
-#include "verify/secure_checkers.hpp"
+#include "verify/scheme_checkers.hpp"
 #include "verify/serve_checkers.hpp"
 
 using namespace sealdl;
 
 namespace {
-
-/// Resolves a CLI scheme name through the shared registry
-/// (sim/scheme_registry.hpp) — the same table sealdl-sim and the benches use,
-/// so the accepted set can never drift between the tools.
-const sim::SchemeInfo& parse_scheme(const std::string& name) {
-  if (const sim::SchemeInfo* entry = sim::find_scheme(name)) return *entry;
-  std::string names;
-  for (const sim::SchemeInfo& info : sim::scheme_registry()) {
-    if (!names.empty()) names += '|';
-    names += info.cli_name;
-  }
-  throw std::invalid_argument("unknown --scheme " + name + " (" + names + ")");
-}
 
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
@@ -95,7 +83,7 @@ int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   const std::string networks_csv = flags.get("networks", "vgg16");
   const std::string scheme_name = flags.get("scheme", "baseline");
-  const sim::SchemeInfo& entry = parse_scheme(scheme_name);
+  const sim::SchemeInfo& entry = sim::parse_scheme(scheme_name);
   const double ratio = flags.get_double("ratio", 0.5);
   const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 480));
   const int jobs = static_cast<int>(flags.get_int("jobs", 1));
@@ -165,13 +153,7 @@ int run(int argc, char** argv) {
 
   const std::string json_path = flags.get("json", "");
   const std::string trace_path = flags.get("trace", "");
-  const bool secure_audit = flags.get_bool("secure-audit", false);
-  if (secure_audit && !entry.paper) {
-    throw std::invalid_argument(
-        std::string("--secure-audit hand-encodes the five paper schemes; "
-                    "check ") +
-        entry.cli_name + " with sealdl-sim --scheme-audit instead");
-  }
+  const bool scheme_audit = flags.get_bool("scheme-audit", false);
   const auto sample_interval =
       static_cast<sim::Cycle>(flags.get_int("sample-interval", 0));
   std::unique_ptr<telemetry::RunTelemetry> collect;
@@ -200,7 +182,7 @@ int run(int argc, char** argv) {
   std::vector<std::unique_ptr<verify::AnalysisInput>> audit_inputs;
   std::vector<std::unique_ptr<verify::TaintAuditor>> auditors;
   std::vector<workload::BusProbeHook*> probe_hooks;
-  if (secure_audit) {
+  if (scheme_audit) {
     for (const serve::NamedNetwork& network : networks) {
       verify::BuildOptions build;
       build.plan = run_options.plan;
@@ -217,19 +199,21 @@ int run(int argc, char** argv) {
                                   serve_options.max_batch, jobs, collect.get(),
                                   probe_hooks);
 
-  if (secure_audit) {
+  if (scheme_audit) {
     bool audit_failed = false;
     for (int i = 0; i < model.count(); ++i) {
-      std::uint64_t counter_bytes = 0;
-      for (const workload::LayerResult& layer : model.profile(i).layers) {
-        counter_bytes += layer.stats.counter_traffic_bytes;
-      }
-      const verify::Report audit_report =
-          auditors[static_cast<std::size_t>(i)]->check(
-              config.scheme, config.selective, counter_bytes);
       const verify::TaintLedger& ledger =
           auditors[static_cast<std::size_t>(i)]->ledger();
-      std::printf("secure audit [%s]: %llu bus bytes over %zu lines, "
+      verify::SchemeRunEvidence evidence;
+      evidence.input = audit_inputs[static_cast<std::size_t>(i)].get();
+      evidence.ledger = &ledger;
+      for (const workload::LayerResult& layer : model.profile(i).layers) {
+        evidence.stats.merge_from(layer.stats);
+      }
+      evidence.config = config;
+      const verify::Report audit_report =
+          verify::run_scheme_conformance(entry, evidence);
+      std::printf("scheme audit [%s]: %llu bus bytes over %zu lines, "
                   "digest %016llx, %llu error(s)\n",
                   model.name(i).c_str(),
                   static_cast<unsigned long long>(ledger.total_bytes()),
@@ -242,8 +226,9 @@ int run(int argc, char** argv) {
       }
     }
     if (audit_failed) {
-      std::fprintf(stderr, "sealdl-serve: profiling bus traffic violates the "
-                           "secure.* invariants\n");
+      std::fprintf(stderr, "sealdl-serve: profiling bus traffic violates %s's "
+                           "scheme contract\n",
+                   entry.display);
       return 1;
     }
   }

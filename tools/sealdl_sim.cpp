@@ -14,7 +14,7 @@
 // models seculator | guardnn. --scheme accepts any registered CLI name.
 //
 // Execution shape:
-//   --jobs N         parallel per-layer simulation (0 = all hardware threads)
+//   --jobs N         parallel per-layer simulation workers (>= 1)
 //   --chunk N        split layers into tile-chunk waves of <= N tiles, so deep
 //                    networks scale past #layers workers (results fixed for a
 //                    given --chunk, bitwise-invariant across --jobs)
@@ -30,17 +30,13 @@
 //   --profile-folded out.txt  collapsed-stack flamegraph export
 //
 // Security audit (network workloads only):
-//   --secure-audit            attach a byte-provenance taint probe to the bus,
-//                             then prove the secure.* no-leakage invariants
-//                             over the recorded ledger (docs/ANALYSIS.md);
-//                             hand-encodes the five paper schemes only
-//   --secure-audit-json p     write the ledger + findings (implies the audit);
+//   --scheme-audit            attach a byte-provenance taint probe to the bus,
+//                             then prove the run against the scheme's own
+//                             declared SchemeContract via the scheme.* rule
+//                             family (docs/ANALYSIS.md) — every registered
+//                             scheme, paper and rival alike
+//   --scheme-audit-json p     write the ledger + findings (implies the audit);
 //                             byte-identical across --jobs values
-//   --scheme-audit            prove the run against the scheme's own declared
-//                             SchemeContract via the generic scheme.* rule
-//                             family — works for every registered scheme,
-//                             including the rivals the secure.* family does
-//                             not know about
 //   --inject-scheme <n|all>   seed a scheme-contract violation and exit 0
 //                             only if the matching scheme.* rule fires
 //                             (self-test; implies --scheme-audit evidence)
@@ -70,7 +66,6 @@
 #include "util/table.hpp"
 #include "verify/profile_checkers.hpp"
 #include "verify/scheme_checkers.hpp"
-#include "verify/secure_checkers.hpp"
 #include "workload/gemm_trace.hpp"
 #include "workload/network_runner.hpp"
 
@@ -78,16 +73,16 @@ using namespace sealdl;
 
 namespace {
 
-/// Resolves a CLI scheme name through the shared registry; the error message
-/// enumerates the registry so it can never drift from the accepted set.
-const sim::SchemeInfo& parse_scheme(const std::string& name) {
-  if (const sim::SchemeInfo* entry = sim::find_scheme(name)) return *entry;
-  std::string names;
-  for (const sim::SchemeInfo& info : sim::scheme_registry()) {
-    if (!names.empty()) names += '|';
-    names += info.cli_name;
+/// Reads a count flag, rejecting negative values instead of letting them wrap
+/// through uint64.
+std::uint64_t non_negative(const util::CliFlags& flags, const char* name,
+                           std::int64_t fallback) {
+  const std::int64_t value = flags.get_int(name, fallback);
+  if (value < 0) {
+    throw std::invalid_argument(std::string("--") + name + " must be >= 0, got " +
+                                std::to_string(value));
   }
-  throw std::invalid_argument("unknown --scheme " + name + " (" + names + ")");
+  return static_cast<std::uint64_t>(value);
 }
 
 void print_stats(const sim::SimStats& stats, double scale,
@@ -124,9 +119,13 @@ void print_stats(const sim::SimStats& stats, double scale,
 int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   const std::string workload = flags.get("workload", "vgg16");
-  const sim::SchemeInfo& entry = parse_scheme(flags.get("scheme", "baseline"));
+  const sim::SchemeInfo& entry = sim::parse_scheme(flags.get("scheme", "baseline"));
   const double ratio = flags.get_double("ratio", 0.5);
-  const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 480));
+  if (!(ratio >= 0.0 && ratio <= 1.0)) {
+    throw std::invalid_argument("--ratio must be in [0, 1], got " +
+                                flags.get("ratio", ""));
+  }
+  const auto tiles = non_negative(flags, "tiles", 480);
 
   sim::GpuConfig config = sim::GpuConfig::gtx480();
   sim::apply_scheme(entry, config);
@@ -154,14 +153,12 @@ int run(int argc, char** argv) {
   }
   const bool profile = flags.get_bool("profile", false) ||
                        !folded_path.empty() || !inject_profile.empty();
-  const std::string secure_audit_json = flags.get("secure-audit-json", "");
-  const bool secure_audit =
-      flags.get_bool("secure-audit", false) || !secure_audit_json.empty();
+  const std::string scheme_audit_json = flags.get("scheme-audit-json", "");
   const std::string inject_scheme = flags.get("inject-scheme", "");
   const std::string inject_scheme_json = flags.get("inject-scheme-json", "");
-  const bool scheme_audit = flags.get_bool("scheme-audit", false) ||
-                            !inject_scheme.empty() ||
-                            !inject_scheme_json.empty();
+  const bool scheme_audit =
+      flags.get_bool("scheme-audit", false) || !scheme_audit_json.empty() ||
+      !inject_scheme.empty() || !inject_scheme_json.empty();
   if (!inject_scheme.empty() && inject_scheme != "all" &&
       !verify::scheme_injection_from_name(inject_scheme)) {
     std::string names = "all";
@@ -173,18 +170,11 @@ int run(int argc, char** argv) {
     throw std::invalid_argument("unknown --inject-scheme " + inject_scheme +
                                 " (" + names + ")");
   }
-  if ((secure_audit || scheme_audit) && workload != "vgg16" &&
-      workload != "resnet18" && workload != "resnet34") {
+  if (scheme_audit && workload != "vgg16" && workload != "resnet18" &&
+      workload != "resnet34") {
     throw std::invalid_argument(
-        "--secure-audit/--scheme-audit need a network workload "
-        "(vgg16|resnet18|resnet34): the taint probe classifies addresses "
-        "against the network layout");
-  }
-  if (secure_audit && !entry.paper) {
-    throw std::invalid_argument(
-        std::string("--secure-audit hand-encodes the five paper schemes; "
-                    "use --scheme-audit to check ") +
-        entry.cli_name + " against its own contract");
+        "--scheme-audit needs a network workload (vgg16|resnet18|resnet34): "
+        "the taint probe classifies addresses against the network layout");
   }
   std::unique_ptr<telemetry::RunTelemetry> collect;
   if (!json_path.empty() || !trace_path.empty() || profile) {
@@ -204,13 +194,16 @@ int run(int argc, char** argv) {
   options.scope = entry.scope;
   options.plan.encryption_ratio = ratio;
   options.telemetry = collect.get();
-  // Parallel per-layer simulation (0 = one worker per hardware thread).
-  // Results are bitwise-identical to --jobs 1.
+  // Parallel per-layer simulation. Results are bitwise-identical to --jobs 1.
   options.jobs = static_cast<int>(flags.get_int("jobs", 1));
+  if (options.jobs < 1) {
+    throw std::invalid_argument("--jobs must be >= 1, got " +
+                                flags.get("jobs", ""));
+  }
   // Sub-layer work units: --chunk N splits each layer's simulated slice into
   // tile-chunk waves of at most N tiles (0 = whole layer per unit). For a
   // fixed --chunk the results are bitwise-identical across --jobs.
-  options.chunk_tiles = static_cast<std::uint64_t>(flags.get_int("chunk", 0));
+  options.chunk_tiles = non_negative(flags, "chunk", 0);
   // Naive per-cycle run loop for differential testing of the event-skipping
   // fast path (identical results, much slower).
   options.fast_path = !flags.get_bool("no-fast-path", false);
@@ -301,7 +294,7 @@ int run(int argc, char** argv) {
     // is what lets the probe classify live bus addresses from outside.
     std::optional<verify::AnalysisInput> audit_input;
     std::optional<verify::TaintAuditor> auditor;
-    if (secure_audit || scheme_audit) {
+    if (scheme_audit) {
       verify::BuildOptions build;
       build.plan = options.plan;
       // Only plan-row schemes carry an encryption plan; weights-only and
@@ -323,19 +316,22 @@ int run(int argc, char** argv) {
     per_layer.print();
     std::printf("\noverall IPC %.1f, latency %.2f ms @700MHz\n",
                 result.overall_ipc(), result.total_cycles() / 700e3);
-    if (auditor && secure_audit) {
-      std::uint64_t counter_bytes = 0;
-      for (const auto& layer : result.layers) {
-        counter_bytes += layer.stats.counter_traffic_bytes;
-      }
-      const verify::Report audit_report =
-          auditor->check(config.scheme, config.selective, counter_bytes);
+    if (scheme_audit) {
       const verify::TaintLedger& ledger = auditor->ledger();
-      std::printf("secure audit: %llu bus bytes over %zu lines, digest %016llx\n",
+      verify::SchemeRunEvidence evidence;
+      evidence.input = &*audit_input;
+      evidence.ledger = &ledger;
+      for (const auto& layer : result.layers) {
+        evidence.stats.merge_from(layer.stats);
+      }
+      evidence.config = config;
+      const verify::Report scheme_report =
+          verify::run_scheme_conformance(entry, evidence);
+      std::printf("scheme audit: %llu bus bytes over %zu lines, digest %016llx\n",
                   static_cast<unsigned long long>(ledger.total_bytes()),
                   ledger.lines().size(),
                   static_cast<unsigned long long>(ledger.digest()));
-      if (!secure_audit_json.empty()) {
+      if (!scheme_audit_json.empty()) {
         util::JsonWriter json;
         json.begin_object();
         json.field("tool", "sealdl-sim");
@@ -347,30 +343,12 @@ int run(int argc, char** argv) {
         json.key("ledger");
         ledger.write_json(json);
         json.key("report");
-        audit_report.write_json(json);
+        scheme_report.write_json(json);
         json.end_object();
-        telemetry::write_text_file(secure_audit_json, json.str());
-        std::printf("wrote secure-audit ledger to %s\n",
-                    secure_audit_json.c_str());
+        telemetry::write_text_file(scheme_audit_json, json.str());
+        std::printf("wrote scheme-audit ledger to %s\n",
+                    scheme_audit_json.c_str());
       }
-      if (audit_report.error_count() > 0) {
-        std::fputs(audit_report.to_text().c_str(), stderr);
-        std::fprintf(stderr,
-                     "sealdl-sim: bus traffic violates the secure.* "
-                     "invariants\n");
-        return 1;
-      }
-    }
-    if (scheme_audit) {
-      sim::SimStats total;
-      for (const auto& layer : result.layers) total.merge_from(layer.stats);
-      verify::SchemeRunEvidence evidence;
-      evidence.input = &*audit_input;
-      evidence.ledger = &auditor->ledger();
-      evidence.stats = total;
-      evidence.config = config;
-      const verify::Report scheme_report =
-          verify::run_scheme_conformance(entry, evidence);
       if (scheme_report.error_count() > 0) {
         std::fputs(scheme_report.to_text().c_str(), stderr);
         std::fprintf(stderr, "sealdl-sim: run violates %s's scheme contract\n",
