@@ -1,11 +1,11 @@
 #include "serve/admission_queue.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace sealdl::serve {
 
-std::optional<Request> AdmissionQueue::offer(const Request& request) {
-  util::MutexLock lock(mutex_);
+OfferResult AdmissionQueue::offer(const Request& request) {
   ++offered_;
   // Direct admission enters the queue at its own arrival instant.
   Request admitted = request;
@@ -13,17 +13,17 @@ std::optional<Request> AdmissionQueue::offer(const Request& request) {
   if (queue_.size() < depth_ && backlog_.empty()) {
     queue_.push_back(admitted);
     ++admitted_;
-    return std::nullopt;
+    return {OfferResult::Outcome::kAdmitted, std::nullopt};
   }
   switch (policy_) {
     case OverloadPolicy::kDrop:
       ++dropped_;
-      return std::nullopt;
+      return {OfferResult::Outcome::kDropped, std::nullopt};
     case OverloadPolicy::kBlock:
       backlog_.push_back(request);
       ++blocked_;
       peak_backlog_ = std::max(peak_backlog_, backlog_.size());
-      return std::nullopt;
+      return {OfferResult::Outcome::kBacklogged, std::nullopt};
     case OverloadPolicy::kShedOldest: {
       // depth 0 means there is never a victim to shed: the "full" queue is
       // empty, and queue_.front() would be undefined behavior. The arrival
@@ -31,21 +31,20 @@ std::optional<Request> AdmissionQueue::offer(const Request& request) {
       // identity generated == completed + dropped + shed still holds.
       if (queue_.empty()) {
         ++dropped_;
-        return std::nullopt;
+        return {OfferResult::Outcome::kDropped, std::nullopt};
       }
       Request oldest = queue_.front();
       queue_.pop_front();
       ++shed_;
       queue_.push_back(admitted);
       ++admitted_;
-      return oldest;
+      return {OfferResult::Outcome::kAdmittedShed, std::move(oldest)};
     }
   }
-  return std::nullopt;
+  return {OfferResult::Outcome::kDropped, std::nullopt};
 }
 
 std::vector<Request> AdmissionQueue::pop_batch(int max_batch, sim::Cycle now) {
-  util::MutexLock lock(mutex_);
   std::vector<Request> batch;
   if (queue_.empty()) return batch;
   const int network = queue_.front().network;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -121,12 +119,9 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
   const std::vector<Request> arrivals =
       generate_requests(options, model.count(), config.core_mhz);
 
-  std::vector<std::unique_ptr<AdmissionQueue>> queues;
-  queues.reserve(static_cast<std::size_t>(pipelines));
-  for (int p = 0; p < pipelines; ++p) {
-    queues.push_back(std::make_unique<AdmissionQueue>(options.queue_depth,
-                                                      options.policy));
-  }
+  std::vector<AdmissionQueue> queues(
+      static_cast<std::size_t>(pipelines),
+      AdmissionQueue(options.queue_depth, options.policy));
   // stage_free[p][s]: when pipeline p's stage-s device next becomes free.
   std::vector<std::vector<double>> stage_free(
       static_cast<std::size_t>(pipelines),
@@ -196,8 +191,8 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
         std::size_t best_load = ~std::size_t{0};
         for (int p = 0; p < pipelines; ++p) {
           const std::size_t load =
-              queues[static_cast<std::size_t>(p)]->size() +
-              queues[static_cast<std::size_t>(p)]->backlog_size();
+              queues[static_cast<std::size_t>(p)].size() +
+              queues[static_cast<std::size_t>(p)].backlog_size();
           if (load < best_load) {
             best_load = load;
             best = p;
@@ -215,22 +210,19 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
     }
   };
 
-  // offer() with outcome attribution: a returned victim was shed, and a
-  // dropped() increment means the newcomer itself was refused. Both end
-  // their lifecycle at the offer instant (the newcomer's arrival).
+  // offer() with outcome attribution: a shed victim and a refused newcomer
+  // both end their lifecycle at the offer instant (the newcomer's arrival).
   const auto offer_tracked = [&](const Request& request) {
     const int pipeline = route(request);
-    AdmissionQueue& queue = *queues[static_cast<std::size_t>(pipeline)];
+    AdmissionQueue& queue = queues[static_cast<std::size_t>(pipeline)];
     fleet_report.device_reports[static_cast<std::size_t>(device_of(pipeline, 0))]
         .routed++;
-    const std::uint64_t dropped_before = tracing ? queue.dropped() : 0;
-    const std::optional<Request> victim = queue.offer(request);
+    const OfferResult result = queue.offer(request);
     if (!tracing) return;
-    if (victim) {
-      record_lost(*victim, "shed", static_cast<double>(request.arrival),
+    if (result.outcome == OfferResult::Outcome::kAdmittedShed) {
+      record_lost(*result.victim, "shed", static_cast<double>(request.arrival),
                   pipeline);
-    }
-    if (queue.dropped() != dropped_before) {
+    } else if (result.outcome == OfferResult::Outcome::kDropped) {
       Request refused = request;
       refused.admit = request.arrival;  // never queued: zero-length stages
       record_lost(refused, "dropped", static_cast<double>(request.arrival),
@@ -259,12 +251,12 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
       finish_events.pop();
     }
     std::uint64_t dropped = 0, shed = 0, blocked = 0, queued = 0, backlog = 0;
-    for (const auto& queue : queues) {
-      dropped += queue->dropped();
-      shed += queue->shed();
-      blocked += queue->blocked();
-      queued += queue->size();
-      backlog += queue->backlog_size();
+    for (const AdmissionQueue& queue : queues) {
+      dropped += queue.dropped();
+      shed += queue.shed();
+      blocked += queue.blocked();
+      queued += queue.size();
+      backlog += queue.backlog_size();
     }
     util::JsonWriter json;
     json.begin_object();
@@ -279,8 +271,8 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
     json.field("backlog", backlog);
     if (pipelines > 1) {
       json.key("queued_by_pipeline").begin_array();
-      for (const auto& queue : queues) {
-        json.value(static_cast<std::uint64_t>(queue->size()));
+      for (const AdmissionQueue& queue : queues) {
+        json.value(static_cast<std::uint64_t>(queue.size()));
       }
       json.end_array();
     }
@@ -297,7 +289,7 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
   };
 
   const auto dispatch = [&](int pipeline, double start) {
-    AdmissionQueue& queue = *queues[static_cast<std::size_t>(pipeline)];
+    AdmissionQueue& queue = queues[static_cast<std::size_t>(pipeline)];
     const std::vector<Request> batch =
         queue.pop_batch(options.max_batch, static_cast<sim::Cycle>(start));
     const int network = batch.front().network;
@@ -469,7 +461,7 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
     int best_pipeline = -1;
     double best_start = 0.0;
     for (int p = 0; p < pipelines; ++p) {
-      AdmissionQueue& queue = *queues[static_cast<std::size_t>(p)];
+      const AdmissionQueue& queue = queues[static_cast<std::size_t>(p)];
       if (queue.empty()) continue;
       const double start =
           std::max(stage_free[static_cast<std::size_t>(p)][0],
@@ -498,16 +490,16 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
     next_emit += live_interval_cycles;
   }
 
-  for (const auto& queue : queues) {
-    report.dropped += queue->dropped();
-    report.shed += queue->shed();
-    report.blocked += queue->blocked();
-    report.peak_backlog = std::max(report.peak_backlog, queue->peak_backlog());
+  for (const AdmissionQueue& queue : queues) {
+    report.dropped += queue.dropped();
+    report.shed += queue.shed();
+    report.blocked += queue.blocked();
+    report.peak_backlog = std::max(report.peak_backlog, queue.peak_backlog());
   }
   for (int p = 0; p < pipelines; ++p) {
     DeviceReport& dev = fleet_report.device_reports[static_cast<std::size_t>(
         device_of(p, 0))];
-    const AdmissionQueue& queue = *queues[static_cast<std::size_t>(p)];
+    const AdmissionQueue& queue = queues[static_cast<std::size_t>(p)];
     dev.dropped = queue.dropped();
     dev.shed = queue.shed();
     dev.blocked = queue.blocked();

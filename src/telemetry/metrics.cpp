@@ -34,7 +34,7 @@ const util::Histogram* MetricsRegistry::find_histogram(
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   // Confinement check only — the registry stays unlocked by design (see
   // header). Two threads merging into the same sink is a bug the byte-exact
-  // determinism gate may never interleave; the auditor reports it directly.
+  // determinism gate may never interleave; the guard throws on it directly.
   util::AccessGuard guard(merge_sentinel_);
   for (const auto& [name, counter] : other.counters_) {
     counters_[name].add(counter.value());

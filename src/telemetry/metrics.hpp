@@ -14,7 +14,7 @@
 #include <string>
 
 #include "util/json.hpp"
-#include "util/lock_audit.hpp"
+#include "util/mutex.hpp"
 #include "util/stats.hpp"
 
 namespace sealdl::telemetry {
@@ -68,10 +68,9 @@ class MetricsRegistry {
   ///
   /// Thread-confinement contract: the registry is deliberately unlocked —
   /// a fragment belongs to exactly one task and the shared sink is merged
-  /// from the submitting thread only. With the lock auditor on
-  /// (SEALDL_LOCK_AUDIT, all test runs) concurrent merge_from calls on the
-  /// same registry report a `lock.confined` finding instead of silently
-  /// corrupting counts.
+  /// from the submitting thread only. A concurrent merge_from call on the
+  /// same registry throws std::logic_error instead of silently corrupting
+  /// counts.
   void merge_from(const MetricsRegistry& other);
 
   /// Serializes all instruments as one JSON object value (name-sorted).

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "sim/request.hpp"
-#include "util/lock_audit.hpp"
+#include "util/mutex.hpp"
 
 namespace sealdl::telemetry {
 
@@ -70,8 +70,7 @@ class IntervalSampler {
   /// The sampler is thread-confined, not locked: a private sampler belongs
   /// to one simulating task and the shared series is spliced from the
   /// merging thread only. The AccessGuard turns a concurrent mutation into
-  /// a `lock.confined` auditor finding in test builds (SEALDL_LOCK_AUDIT)
-  /// instead of a silently reordered series.
+  /// a std::logic_error instead of a silently reordered series.
   void record(TimeSample sample) {
     util::AccessGuard guard(sentinel_);
     next_local_ = sample.cycle + interval_;

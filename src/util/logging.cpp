@@ -6,17 +6,15 @@
 #include <iostream>
 #include <string>
 
-#include "util/lock_audit.hpp"
+#include "util/mutex.hpp"
 
 namespace sealdl::util {
 
 namespace {
 std::atomic<LogLevel> g_level{
     parse_log_level(std::getenv("SEALDL_LOG_LEVEL"), LogLevel::kWarn)};
-// Serializes whole lines onto stderr. Annotated + audited like every other
-// capability so a log call inside a condition wait or lock cycle shows up
-// in the lock-order graph under a stable name.
-Mutex g_sink_mutex{"util.log_sink"};
+// Serializes whole lines onto stderr.
+Mutex g_sink_mutex;
 
 const char* level_name(LogLevel level) {
   switch (level) {

@@ -11,7 +11,7 @@
 // -Wthread-safety -Wthread-safety-beta -Werror=thread-safety under Clang
 // (root CMakeLists; policy and examples in docs/ANALYSIS.md, "Concurrency
 // analysis"). The annotated wrappers that use this shim live in
-// util/lock_audit.hpp.
+// util/mutex.hpp.
 #pragma once
 
 #if defined(__clang__)

@@ -31,7 +31,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "util/lock_audit.hpp"
+#include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace sealdl::util {
@@ -81,7 +81,7 @@ class ThreadPool {
   void shutdown_and_join() SEALDL_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
-  Mutex mutex_{"util.ThreadPool"};
+  Mutex mutex_;
   CondVar cv_;
   std::deque<std::function<void()>> queue_ SEALDL_GUARDED_BY(mutex_);
   bool stop_ SEALDL_GUARDED_BY(mutex_) = false;

@@ -1,248 +1,85 @@
-// Runtime lock-order auditor (util/lock_audit.hpp): the acquisition-order
-// graph, cycle and cv-hold detection, thread-confinement sentinels, and the
-// conversion into verify's standard diagnostic stream. Everything here is
-// deterministic — findings come from the *order graph*, not from winning a
-// race, so a cycle is reported even when the threads never interleave into
-// an actual deadlock.
+// Run-time concurrency checks that survive alongside the compile-time
+// thread-safety annotations: the thread-confinement sentinel that guards the
+// unlocked telemetry merge paths, and the one place two annotated mutexes
+// meet (a ThreadPool task writing to the log sink), which the TSan leg runs
+// under its deadlock detector.
 #include <atomic>
-#include <chrono>
+#include <future>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "util/lock_audit.hpp"
+#include "util/logging.hpp"
+#include "util/mutex.hpp"
 #include "util/thread_pool.hpp"
-#include "verify/concurrency.hpp"
 
 namespace {
 
 using sealdl::util::AccessGuard;
 using sealdl::util::AccessSentinel;
-using sealdl::util::CondVar;
-using sealdl::util::LockAuditor;
-using sealdl::util::LockFinding;
-using sealdl::util::Mutex;
-using sealdl::util::MutexLock;
 
-std::size_t count_rule(const std::vector<LockFinding>& findings,
-                       const std::string& rule) {
-  std::size_t n = 0;
-  for (const LockFinding& finding : findings) {
-    if (finding.rule == rule) ++n;
-  }
-  return n;
-}
-
-// The auditor is process-global; each test starts it clean and enabled and
-// leaves it clean for whoever runs next in this binary.
-class LockAuditTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    LockAuditor::instance().reset();
-    LockAuditor::instance().set_enabled(true);
-  }
-  void TearDown() override {
-    LockAuditor::instance().reset();
-    LockAuditor::instance().set_enabled(true);
-  }
-};
-
-TEST_F(LockAuditTest, CleanOrderingStaysSilent) {
-  Mutex a("audit.A");
-  Mutex b("audit.B");
-  auto locker = [&] {
-    MutexLock la(a);
-    MutexLock lb(b);
-  };
-  std::thread t1(locker);
-  t1.join();
-  std::thread t2(locker);
-  t2.join();
-  locker();
-
-  LockAuditor& audit = LockAuditor::instance();
-  EXPECT_EQ(audit.finding_count(), 0u);
-  // The consistent A-before-B order was still observed and recorded.
-  EXPECT_GE(audit.edge_count(), 1u);
-}
-
-TEST_F(LockAuditTest, CycleDetected) {
-  Mutex a("audit.A");
-  Mutex b("audit.B");
-  // Sequential threads, so no actual deadlock ever happens — the inverted
-  // order alone must trip the detector.
-  std::thread t1([&] {
-    MutexLock la(a);
-    MutexLock lb(b);
-  });
-  t1.join();
-  std::thread t2([&] {
-    MutexLock lb(b);
-    MutexLock la(a);
-  });
-  t2.join();
-
-  const auto findings = LockAuditor::instance().findings();
-  EXPECT_EQ(count_rule(findings, "lock.cycle"), 1u);
-  EXPECT_TRUE(sealdl::verify::lock_audit_report().fired("lock.cycle"));
-  EXPECT_GT(sealdl::verify::lock_audit_report().error_count(), 0u);
-}
-
-TEST_F(LockAuditTest, CycleReportedOncePerEdgePair) {
-  Mutex a("audit.A");
-  Mutex b("audit.B");
-  for (int i = 0; i < 3; ++i) {
-    std::thread t1([&] {
-      MutexLock la(a);
-      MutexLock lb(b);
-    });
-    t1.join();
-    std::thread t2([&] {
-      MutexLock lb(b);
-      MutexLock la(a);
-    });
-    t2.join();
-  }
-  EXPECT_EQ(count_rule(LockAuditor::instance().findings(), "lock.cycle"), 1u);
-}
-
-TEST_F(LockAuditTest, CvWaitWhileHoldingSecondLockDetected) {
-  Mutex outer("audit.outer");
-  Mutex inner("audit.inner");
-  CondVar cv;
-  {
-    MutexLock lo(outer);
-    MutexLock li(inner);
-    // Times out immediately; the finding is about *entering* the wait while
-    // audit.outer is held, not about anyone signalling.
-    cv.wait_for(inner, std::chrono::milliseconds(1));
-  }
-  const auto findings = LockAuditor::instance().findings();
-  ASSERT_EQ(count_rule(findings, "lock.cv-hold"), 1u);
-  for (const LockFinding& finding : findings) {
-    if (finding.rule == "lock.cv-hold") {
-      EXPECT_NE(finding.message.find("audit.outer"), std::string::npos);
-    }
-  }
-}
-
-TEST_F(LockAuditTest, CvWaitAloneStaysSilent) {
-  Mutex mu("audit.lone");
-  CondVar cv;
-  {
-    MutexLock lock(mu);
-    cv.wait_for(mu, std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(LockAuditor::instance().finding_count(), 0u);
-}
-
-TEST_F(LockAuditTest, DisabledAuditorRecordsNothing) {
-  LockAuditor::instance().set_enabled(false);
-  Mutex a("audit.A");
-  Mutex b("audit.B");
-  {
-    MutexLock la(a);
-    MutexLock lb(b);
-  }
-  {
-    MutexLock lb(b);
-    MutexLock la(a);
-  }
-  EXPECT_EQ(LockAuditor::instance().edge_count(), 0u);
-  EXPECT_EQ(LockAuditor::instance().finding_count(), 0u);
-}
-
-TEST_F(LockAuditTest, BuildDefaultMatchesCompileTimeKnob) {
-#if SEALDL_TEST_EXPECT_AUDIT_DEFAULT
-  EXPECT_TRUE(LockAuditor::build_default());
-#else
-  EXPECT_FALSE(LockAuditor::build_default());
-#endif
-}
-
-// The production pool under audit: the worker's cv-wait holds only the
-// pool's own mutex, and submit/worker acquisitions are single-capability, so
-// a busy pool must produce zero findings.
-TEST_F(LockAuditTest, ThreadPoolUnderAuditStaysClean) {
-  {
-    sealdl::util::ThreadPool pool(3);
-    std::atomic<int> ran{0};
-    std::vector<std::future<void>> futures;
-    futures.reserve(32);
-    for (int i = 0; i < 32; ++i) {
-      futures.push_back(pool.submit([&ran] { ++ran; }));
-    }
-    for (auto& future : futures) future.get();
-    EXPECT_EQ(ran.load(), 32);
-  }
-  EXPECT_EQ(count_rule(LockAuditor::instance().findings(), "lock.cycle"), 0u);
-  EXPECT_EQ(count_rule(LockAuditor::instance().findings(), "lock.cv-hold"),
-            0u);
-}
-
-TEST_F(LockAuditTest, AccessSentinelAllowsSameThreadReentry) {
-  AccessSentinel sentinel("audit.confined");
+TEST(AccessSentinel, AllowsSameThreadReentry) {
+  AccessSentinel sentinel("test.confined");
   AccessGuard outer(sentinel);
-  AccessGuard inner(sentinel);
-  EXPECT_EQ(LockAuditor::instance().finding_count(), 0u);
+  EXPECT_NO_THROW(AccessGuard inner(sentinel));
 }
 
-TEST_F(LockAuditTest, AccessSentinelDetectsConcurrentEntry) {
-  AccessSentinel sentinel("audit.confined");
+TEST(AccessSentinel, ThrowsOnConcurrentEntry) {
+  AccessSentinel sentinel("test.confined");
   AccessGuard held(sentinel);
   // Deterministic overlap: the main thread keeps the guard alive while the
   // spawned thread tries to enter the same confinement domain.
-  std::thread intruder([&sentinel] { AccessGuard clash(sentinel); });
-  intruder.join();
-  const auto findings = LockAuditor::instance().findings();
-  ASSERT_EQ(count_rule(findings, "lock.confined"), 1u);
-  for (const LockFinding& finding : findings) {
-    if (finding.rule == "lock.confined") {
-      EXPECT_NE(finding.message.find("audit.confined"), std::string::npos);
+  std::string message;
+  std::thread intruder([&sentinel, &message] {
+    try {
+      AccessGuard clash(sentinel);
+    } catch (const std::logic_error& error) {
+      message = error.what();
     }
-  }
+  });
+  intruder.join();
+  EXPECT_NE(message.find("test.confined"), std::string::npos) << message;
 }
 
-TEST_F(LockAuditTest, ResetClearsGraphAndFindings) {
-  Mutex a("audit.A");
-  Mutex b("audit.B");
+TEST(AccessSentinel, CopyStartsFreshConfinementDomain) {
+  AccessSentinel original("test.confined");
+  AccessGuard held(original);
+  // The copy is taken while `original` is owned by this thread; a second
+  // thread may still enter the copy.
+  AccessSentinel copy(original);
+  bool threw = false;
+  std::thread other([&copy, &threw] {
+    try {
+      AccessGuard guard(copy);
+    } catch (const std::logic_error&) {
+      threw = true;
+    }
+  });
+  other.join();
+  EXPECT_FALSE(threw);
+}
+
+// The pool mutex and the log-sink mutex are never held together: a task
+// runs with no pool lock held, so logging from inside it nests nothing.
+TEST(ThreadPoolLogging, TasksThatLogAllComplete) {
+  std::atomic<int> ran{0};
   {
-    MutexLock la(a);
-    MutexLock lb(b);
+    sealdl::util::ThreadPool pool(3);
+    std::vector<std::future<void>> futures;
+    futures.reserve(8);
+    for (int i = 0; i < 8; ++i) {
+      futures.push_back(pool.submit([&ran, i] {
+        sealdl::util::log_line(sealdl::util::LogLevel::kDebug,
+                               "pool task " + std::to_string(i));
+        ++ran;
+      }));
+    }
+    for (auto& future : futures) future.get();
   }
-  {
-    MutexLock lb(b);
-    MutexLock la(a);
-  }
-  EXPECT_GT(LockAuditor::instance().finding_count(), 0u);
-  LockAuditor::instance().reset();
-  EXPECT_EQ(LockAuditor::instance().finding_count(), 0u);
-  EXPECT_EQ(LockAuditor::instance().edge_count(), 0u);
-}
-
-// verify::lock_audit_report maps findings onto the standard diagnostic
-// stream: rule -> rule, subject -> layer column, severity error.
-TEST(LockAuditReport, ConvertsFindingsToDiagnostics) {
-  std::vector<LockFinding> findings;
-  findings.push_back({"lock.cycle", "A -> B", "cycle via B -> A"});
-  findings.push_back({"lock.cv-hold", "cv:q", "wait while holding m"});
-  const sealdl::verify::Report report =
-      sealdl::verify::lock_audit_report(findings);
-  EXPECT_TRUE(report.fired("lock.cycle"));
-  EXPECT_TRUE(report.fired("lock.cv-hold"));
-  EXPECT_EQ(report.error_count(), 2u);
-  const std::string text = report.to_text();
-  EXPECT_NE(text.find("lock.cycle"), std::string::npos);
-  EXPECT_NE(text.find("A -> B"), std::string::npos);
-}
-
-TEST(LockAuditReport, RuleCatalogIsStable) {
-  const auto rules = sealdl::verify::lock_audit_rules();
-  ASSERT_EQ(rules.size(), 3u);
-  EXPECT_EQ(rules[0], "lock.cycle");
-  EXPECT_EQ(rules[1], "lock.cv-hold");
-  EXPECT_EQ(rules[2], "lock.confined");
+  EXPECT_EQ(ran.load(), 8);
 }
 
 }  // namespace

@@ -109,11 +109,15 @@ TEST(RequestGen, DifferentSeedsDiverge) {
 
 // -------------------------------------------------------- admission queue ---
 
+using Outcome = OfferResult::Outcome;
+
 TEST(AdmissionQueue, DropPolicyRejectsWhenFull) {
   AdmissionQueue queue(2, OverloadPolicy::kDrop);
-  EXPECT_FALSE(queue.offer(make_request(0, 0, 10)).has_value());
-  EXPECT_FALSE(queue.offer(make_request(1, 0, 11)).has_value());
-  EXPECT_FALSE(queue.offer(make_request(2, 0, 12)).has_value());
+  EXPECT_EQ(queue.offer(make_request(0, 0, 10)).outcome, Outcome::kAdmitted);
+  EXPECT_EQ(queue.offer(make_request(1, 0, 11)).outcome, Outcome::kAdmitted);
+  const OfferResult refused = queue.offer(make_request(2, 0, 12));
+  EXPECT_EQ(refused.outcome, Outcome::kDropped);
+  EXPECT_FALSE(refused.victim.has_value());
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.admitted(), 2u);
   EXPECT_EQ(queue.dropped(), 1u);
@@ -122,11 +126,12 @@ TEST(AdmissionQueue, DropPolicyRejectsWhenFull) {
 
 TEST(AdmissionQueue, ShedOldestEvictsFront) {
   AdmissionQueue queue(2, OverloadPolicy::kShedOldest);
-  queue.offer(make_request(0, 0, 10));
-  queue.offer(make_request(1, 0, 11));
-  const auto shed = queue.offer(make_request(2, 0, 12));
-  ASSERT_TRUE(shed.has_value());
-  EXPECT_EQ(shed->id, 0u);
+  EXPECT_EQ(queue.offer(make_request(0, 0, 10)).outcome, Outcome::kAdmitted);
+  EXPECT_EQ(queue.offer(make_request(1, 0, 11)).outcome, Outcome::kAdmitted);
+  const OfferResult shed = queue.offer(make_request(2, 0, 12));
+  EXPECT_EQ(shed.outcome, Outcome::kAdmittedShed);
+  ASSERT_TRUE(shed.victim.has_value());
+  EXPECT_EQ(shed.victim->id, 0u);
   EXPECT_EQ(queue.shed(), 1u);
   EXPECT_EQ(queue.admitted(), 3u);
   EXPECT_EQ(queue.front().id, 1u);
@@ -134,10 +139,10 @@ TEST(AdmissionQueue, ShedOldestEvictsFront) {
 
 TEST(AdmissionQueue, BlockPolicyBacklogsAndRefills) {
   AdmissionQueue queue(2, OverloadPolicy::kBlock);
-  queue.offer(make_request(0, 0, 10));
-  queue.offer(make_request(1, 0, 11));
-  queue.offer(make_request(2, 0, 12));
-  queue.offer(make_request(3, 0, 13));
+  EXPECT_EQ(queue.offer(make_request(0, 0, 10)).outcome, Outcome::kAdmitted);
+  EXPECT_EQ(queue.offer(make_request(1, 0, 11)).outcome, Outcome::kAdmitted);
+  EXPECT_EQ(queue.offer(make_request(2, 0, 12)).outcome, Outcome::kBacklogged);
+  EXPECT_EQ(queue.offer(make_request(3, 0, 13)).outcome, Outcome::kBacklogged);
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.backlog_size(), 2u);
   EXPECT_EQ(queue.blocked(), 2u);
@@ -160,8 +165,11 @@ TEST(AdmissionQueue, ZeroDepthShedOldestDropsInsteadOfUndefinedBehavior) {
   // API). The arrival must be refused and counted as a drop so the
   // accounting identity generated == completed + dropped + shed holds.
   AdmissionQueue queue(0, OverloadPolicy::kShedOldest);
-  EXPECT_FALSE(queue.offer(make_request(0, 0, 10)).has_value());
-  EXPECT_FALSE(queue.offer(make_request(1, 0, 11)).has_value());
+  for (std::uint64_t id = 0; id < 2; ++id) {
+    const OfferResult result = queue.offer(make_request(id, 0, 10 + id));
+    EXPECT_EQ(result.outcome, Outcome::kDropped);
+    EXPECT_FALSE(result.victim.has_value());
+  }
   EXPECT_EQ(queue.size(), 0u);
   EXPECT_EQ(queue.admitted(), 0u);
   EXPECT_EQ(queue.shed(), 0u);

@@ -26,7 +26,6 @@
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "verify/checker.hpp"
-#include "verify/concurrency.hpp"
 #include "verify/fleet_checkers.hpp"
 #include "verify/profile_checkers.hpp"
 #include "verify/scheme_checkers.hpp"
@@ -91,9 +90,6 @@ std::vector<CatalogRule> rule_catalog() {
     catalog.push_back({rule,
                        "scheme audit: --scheme-audit here / in sealdl-sim "
                        "and sealdl-serve"});
-  }
-  for (const std::string& rule : verify::lock_audit_rules()) {
-    catalog.push_back({rule, "runtime lock auditor, SEALDL_LOCK_AUDIT"});
   }
   return catalog;
 }
