@@ -3,15 +3,14 @@
 // jobs, emitted as BENCH_parallel.json to seed the perf trajectory.
 //
 //   ./bench_parallel_scaling [--tiles 480] [--ratio 0.5] [--input 224]
-//       [--chunk 0] [--no-fast-path] [--out BENCH_parallel.json]
+//       [--no-fast-path] [--out BENCH_parallel.json]
 //
 // Every jobs level simulates the identical workload (the runner is
 // bitwise-deterministic across jobs — see tests/test_parallel_determinism),
 // so the per-level cycle checksum doubles as a correctness gate here.
-// --chunk N additionally splits each layer into tile-chunk waves of <= N
-// tiles (more schedulable units per network); --no-fast-path times the naive
-// per-cycle reference loop instead of the event-skipping one. Both knobs are
-// recorded in the artifact so trajectories only ever compare like with like.
+// --no-fast-path times the naive per-cycle reference loop instead of the
+// event-skipping one; the knob is recorded in the artifact so trajectories
+// only ever compare like with like.
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -29,7 +28,6 @@ int main_impl(int argc, char** argv) {
   const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 480));
   const double ratio = flags.get_double("ratio", 0.5);
   const int input = static_cast<int>(flags.get_int("input", 224));
-  const auto chunk = static_cast<std::uint64_t>(flags.get_int("chunk", 0));
   const bool fast_path = !flags.get_bool("no-fast-path", false);
   const std::string out = flags.get("out", "BENCH_parallel.json");
 
@@ -55,7 +53,6 @@ int main_impl(int argc, char** argv) {
         options.plan = bench::default_plan();
         options.plan.encryption_ratio = ratio;
         options.jobs = jobs;
-        options.chunk_tiles = chunk;
         options.fast_path = fast_path;
         cycle_checksum +=
             workload::run_network(net.second, bench::configure(scheme), options)
@@ -99,7 +96,6 @@ int main_impl(int argc, char** argv) {
   json.field("input", input);
   json.field("tiles", static_cast<std::uint64_t>(tiles));
   json.field("ratio", ratio);
-  json.field("chunk", chunk);
   json.field("fast_path", fast_path);
   // Speedups only mean anything relative to the cores the host exposed.
   json.field("host_cores", static_cast<std::uint64_t>(hw ? hw : 1));

@@ -376,8 +376,8 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
         // Stage decomposition. The execute stage is defined as the remainder
         // of the end-to-end latency after the attributed stages, so the four
         // stages sum to the measured latency by construction (the
-        // profile.serve.stages / fleet.stages reconciliation) instead of
-        // drifting by floating-point dust.
+        // fleet.stages reconciliation) instead of drifting by
+        // floating-point dust.
         const double backlog =
             static_cast<double>(request.admit - request.arrival);
         const double queued = start - static_cast<double>(request.admit);

@@ -68,7 +68,7 @@ struct ServeReport {
   // Per-stage latency decomposition over completed requests. The stages are
   // causally ordered (backlog -> queue -> dispatch -> execute) and their
   // per-request cycle counts sum exactly to the end-to-end latency:
-  // stage_cycles_sum == latency_cycles_sum (rule profile.serve.stages).
+  // stage_cycles_sum == latency_cycles_sum (rule fleet.stages).
   StageLatency stage_backlog;
   StageLatency stage_queue;
   StageLatency stage_dispatch;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <future>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -87,38 +88,35 @@ ServiceModel::ServiceModel(std::vector<NamedNetwork> networks,
     return probe_hooks.empty() ? nullptr : probe_hooks[i];
   };
 
-  std::vector<ProfileOutcome> outcomes;
-  outcomes.reserve(networks.size());
+  // Same one-loop shape as the layer runner (workload/network_runner.cpp):
+  // a pool only when there are workers and networks to spread, otherwise a
+  // deferred task per network that runs inline at get(). Outcomes are
+  // collected in network order either way.
+  const std::size_t n = networks.size();
+  std::vector<std::future<ProfileOutcome>> futures;
+  futures.reserve(n);
   const int workers = jobs == 1 ? 1 : util::ThreadPool::resolve_jobs(jobs);
-  if (workers <= 1 || networks.size() <= 1) {
-    for (std::size_t i = 0; i < networks.size(); ++i) {
-      outcomes.push_back(profile_network(networks[i], config, base_options,
-                                         sample_interval, collecting,
-                                         hook_for(i)));
-    }
-  } else {
-    util::ThreadPool pool(static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(workers), networks.size())));
-    std::vector<std::future<ProfileOutcome>> futures;
-    futures.reserve(networks.size());
-    for (std::size_t i = 0; i < networks.size(); ++i) {
-      const NamedNetwork& network = networks[i];
-      workload::BusProbeHook* hook = hook_for(i);
-      futures.push_back(
-          pool.submit([&network, &config, &base_options, sample_interval,
-                       collecting, hook] {
-            return profile_network(network, config, base_options,
-                                   sample_interval, collecting, hook);
-          }));
-    }
-    for (auto& future : futures) outcomes.push_back(future.get());
+  std::optional<util::ThreadPool> pool;
+  if (workers > 1 && n > 1) {
+    pool.emplace(static_cast<int>(
+        std::min<std::size_t>(static_cast<std::size_t>(workers), n)));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    auto task = [&network = networks[i], &config, &base_options,
+                 sample_interval, collecting, hook = hook_for(i)] {
+      return profile_network(network, config, base_options, sample_interval,
+                             collecting, hook);
+    };
+    futures.push_back(pool ? pool->submit(std::move(task))
+                           : std::async(std::launch::deferred, std::move(task)));
   }
 
   const int batches = std::max(1, max_batch);
-  for (std::size_t i = 0; i < networks.size(); ++i) {
-    merge_profile(networks[i].name, outcomes[i], collect);
+  for (std::size_t i = 0; i < n; ++i) {
+    ProfileOutcome outcome = futures[i].get();
+    merge_profile(networks[i].name, outcome, collect);
     names_.push_back(networks[i].name);
-    profiles_.push_back(std::move(outcomes[i].result));
+    profiles_.push_back(std::move(outcome.result));
     const workload::NetworkResult& result = profiles_.back();
 
     Aggregate aggregate;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <stdexcept>
 
 #include "sim/gpu_simulator.hpp"
 #include "util/json.hpp"
@@ -57,31 +56,6 @@ std::uint64_t LayerCycleProfile::kind_bucket(const std::string& kind,
     sum += comp.bucket(cat);
   }
   return sum;
-}
-
-void LayerCycleProfile::merge_from(const LayerCycleProfile& other) {
-  if (components.empty()) {
-    components = other.components;
-    total_cycles += other.total_cycles;
-    return;
-  }
-  if (components.size() != other.components.size()) {
-    throw std::invalid_argument(
-        "LayerCycleProfile::merge_from: component count mismatch");
-  }
-  total_cycles += other.total_cycles;
-  for (std::size_t i = 0; i < components.size(); ++i) {
-    ComponentProfile& mine = components[i];
-    const ComponentProfile& theirs = other.components[i];
-    if (mine.name != theirs.name) {
-      throw std::invalid_argument(
-          "LayerCycleProfile::merge_from: component name mismatch");
-    }
-    mine.total_cycles += theirs.total_cycles;
-    for (std::size_t b = 0; b < kCycleCatCount; ++b) {
-      mine.buckets[b] += theirs.buckets[b];
-    }
-  }
 }
 
 void CycleProfiler::ensure_components(const sim::GpuSimulator& simulator) {

@@ -90,13 +90,6 @@ struct LayerCycleProfile {
   /// Sums `cat` across components of one kind ("sm", "l2_slice", "mc").
   [[nodiscard]] std::uint64_t kind_bucket(const std::string& kind,
                                           CycleCat cat) const;
-
-  /// Accumulates another profile over the same machine shape (component lists
-  /// must match name for name). Used to fold tile-chunk waves of one layer
-  /// into a single layer profile: buckets and totals add, so the conservation
-  /// invariant (buckets sum to the component total, components agree on the
-  /// total) is preserved — sums of conserved partitions are conserved.
-  void merge_from(const LayerCycleProfile& other);
 };
 
 /// Whole-run profile: one entry per simulated layer, in run order.

@@ -4,8 +4,9 @@
 // sampling is off because the pointer is null — the hot loop never reaches
 // here) and, when a sample boundary is crossed, records the deltas since the
 // previous sample. Whole-network runs simulate each layer in a fresh
-// simulator starting at local cycle 0; begin_segment() re-bases the sampler
-// so the series forms one concatenated timeline across layers.
+// simulator starting at local cycle 0 with a private sampler; the runner
+// splices those layer-local series onto one concatenated timeline with
+// append_shifted().
 //
 // Header-only on purpose: src/sim includes this without linking the
 // telemetry library (which itself links sealdl_sim for the export sinks).
@@ -45,9 +46,8 @@ class IntervalSampler {
   /// equal weight — exact for the nominal uniform cadence, an approximation
   /// for the short partial interval a run-end sample can close with.
   /// Decimation is a pure function of the pushed sample sequence, so capped
-  /// output is deterministic and identical between the serial record() path
-  /// and the parallel append_shifted() merge path. Caps below 2 are raised
-  /// to 2.
+  /// output is deterministic and the same whether a sample arrives through
+  /// record() or append_shifted(). Caps below 2 are raised to 2.
   explicit IntervalSampler(sim::Cycle interval, std::size_t max_samples = 0)
       : interval_(interval ? interval : 1),
         next_local_(interval_),
@@ -64,8 +64,7 @@ class IntervalSampler {
     return local_now >= next_local_;
   }
 
-  /// Appends a sample taken at local cycle `sample.cycle`; the stored point
-  /// is shifted onto the global timeline.
+  /// Appends a sample taken at local cycle `sample.cycle`.
   ///
   /// The sampler is thread-confined, not locked: a private sampler belongs
   /// to one simulating task and the shared series is spliced from the
@@ -74,24 +73,13 @@ class IntervalSampler {
   void record(TimeSample sample) {
     util::AccessGuard guard(sentinel_);
     next_local_ = sample.cycle + interval_;
-    sample.cycle += offset_;
     push(sample);
   }
 
-  /// Starts a new layer segment whose local cycle 0 sits at global
-  /// `global_offset`.
-  void begin_segment(sim::Cycle global_offset) {
-    util::AccessGuard guard(sentinel_);
-    offset_ = global_offset;
-    next_local_ = interval_;
-  }
-
   /// Appends already-recorded samples, shifting each onto the global
-  /// timeline at `global_offset`. Parallel layer runs sample into a private
-  /// per-task sampler (offset 0, so cycles stay layer-local) and the runner
-  /// splices the segments back in spec order; the shift is the same integer
-  /// addition record() performs, so the merged series is bitwise-identical
-  /// to a serial run's.
+  /// timeline at `global_offset`. Layer runs sample into a private per-task
+  /// sampler (cycles stay layer-local) and the runner splices the segments
+  /// back in spec order, so the merged series is the same for any --jobs.
   void append_shifted(const std::vector<TimeSample>& samples,
                       sim::Cycle global_offset) {
     util::AccessGuard guard(sentinel_);
@@ -172,7 +160,6 @@ class IntervalSampler {
   }
 
   sim::Cycle interval_;
-  sim::Cycle offset_ = 0;
   sim::Cycle next_local_;
   std::size_t max_samples_ = 0;
   std::size_t stride_ = 1;

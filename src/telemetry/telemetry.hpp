@@ -20,7 +20,7 @@ namespace sealdl::telemetry {
 /// One request's lifecycle through the serving stack, as causally ordered
 /// stages measured in cycles. The stages partition the end-to-end latency
 /// exactly: backlog + queue + dispatch + execute == completion - arrival for
-/// completed requests (the `profile.serve.stages` rule), because every stage
+/// completed requests (the `fleet.stages` rule), because every stage
 /// is a difference of the same timestamps the latency is computed from.
 struct RequestSpanRecord {
   std::uint64_t id = 0;

@@ -1,8 +1,7 @@
 // Fleet configuration validation and report reconciliation — the `fleet.*`
 // rule family.
 //
-// Two halves, mirroring how serve.options.* and profile.serve.stages split
-// static configuration checks from post-run accounting proofs:
+// Two halves: static configuration checks and post-run accounting proofs.
 //
 //   Static (checked before profiling, exit code 2 on violation):
 //   fleet.options.devices  device count is >= 1
@@ -22,9 +21,8 @@
 //                   completed + dropped + shed (block never loses requests)
 //   fleet.batches   sum of per-device batches == total batches; per-device
 //                   stage runs sum to microbatches x stages
-//   fleet.stages    per-request lifecycle stages still sum to the measured
-//                   end-to-end latency under sharding (the fleet-level twin
-//                   of profile.serve.stages)
+//   fleet.stages    per-request lifecycle stages of completed requests sum
+//                   to the measured end-to-end latency, sharded or not
 //
 // All checks are pure functions of (FleetOptions, FleetReport) — nothing is
 // re-simulated. sealdl-serve runs both halves on every invocation;

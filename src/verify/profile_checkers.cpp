@@ -1,8 +1,5 @@
 #include "verify/profile_checkers.hpp"
 
-#include <cmath>
-#include <cstdio>
-
 namespace sealdl::verify {
 
 namespace {
@@ -18,7 +15,7 @@ void add_error(Report& report, const char* rule, std::string message) {
 }  // namespace
 
 std::vector<std::string> profile_rules() {
-  return {"profile.conservation", "profile.total", "profile.serve.stages"};
+  return {"profile.conservation", "profile.total"};
 }
 
 void check_cycle_profile(const telemetry::CycleProfile& profile,
@@ -41,19 +38,6 @@ void check_cycle_profile(const telemetry::CycleProfile& profile,
                       std::to_string(layer.total_cycles));
       }
     }
-  }
-}
-
-void check_serve_stage_totals(double stage_cycles_sum,
-                              double latency_cycles_sum, Report& report) {
-  const double scale = std::max(1.0, std::fabs(latency_cycles_sum));
-  if (!(std::fabs(stage_cycles_sum - latency_cycles_sum) <= 1e-9 * scale)) {
-    char buffer[160];
-    std::snprintf(buffer, sizeof(buffer),
-                  "lifecycle stages sum to %.6f cycles but measured "
-                  "end-to-end latency sums to %.6f",
-                  stage_cycles_sum, latency_cycles_sum);
-    add_error(report, "profile.serve.stages", buffer);
   }
 }
 

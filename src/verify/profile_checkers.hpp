@@ -14,8 +14,6 @@
 //                          component's total profiled cycles
 //   profile.total          every component of a layer agrees on the layer's
 //                          total cycle count
-//   profile.serve.stages   serve lifecycle stages sum to the measured
-//                          end-to-end latency (completed requests)
 #pragma once
 
 #include <string>
@@ -32,12 +30,6 @@ std::vector<std::string> profile_rules();
 /// Appends one error diagnostic per violated conservation/total rule.
 void check_cycle_profile(const telemetry::CycleProfile& profile,
                          Report& report);
-
-/// Checks the serve-side reconciliation: the summed stage cycles of all
-/// completed requests must equal the summed end-to-end latency cycles
-/// (relative tolerance covers double accumulation order, nothing more).
-void check_serve_stage_totals(double stage_cycles_sum,
-                              double latency_cycles_sum, Report& report);
 
 /// Convenience wrapper returning a fresh report.
 [[nodiscard]] Report run_profile_check(const telemetry::CycleProfile& profile);

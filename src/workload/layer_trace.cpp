@@ -277,8 +277,7 @@ class FcWarpProgram final : public BufferedWarpProgram {
 
 template <typename Program>
 LayerWork build(const LayerAddressing& layer, const LayerTraceOptions& options,
-                int num_warps, std::uint64_t max_tiles, int chunk_index,
-                int num_chunks) {
+                int num_warps, std::uint64_t max_tiles) {
   // A scratch instance reports the tile count for this geometry.
   const std::uint64_t total = Program(layer, options, 0, 1, 0).total_tiles();
   const std::uint64_t limit = max_tiles ? std::min(max_tiles, total) : total;
@@ -309,21 +308,10 @@ LayerWork build(const LayerAddressing& layer, const LayerTraceOptions& options,
         limit * (static_cast<std::uint64_t>(w) + 1) / static_cast<std::uint64_t>(num_warps) -
         limit * static_cast<std::uint64_t>(w) / static_cast<std::uint64_t>(num_warps);
     const std::uint64_t take = std::min(quota, end - begin);
-    // Chunking sub-partitions each warp's [begin, begin + take) block with the
-    // same rounding the warp partition uses: chunk c covers
-    // [take*c/C, take*(c+1)/C). Summed over c the sub-ranges tile the block
-    // exactly, so the chunked run simulates the same tiles in the same
-    // per-warp order as the unchunked one, just bracketed into waves.
-    const std::uint64_t sub_begin =
-        begin + take * static_cast<std::uint64_t>(chunk_index) /
-                    static_cast<std::uint64_t>(num_chunks);
-    const std::uint64_t sub_end =
-        begin + take * (static_cast<std::uint64_t>(chunk_index) + 1) /
-                    static_cast<std::uint64_t>(num_chunks);
-    if (sub_begin == sub_end) continue;  // empty programs skew SM load balance
-    work.simulated_tiles += sub_end - sub_begin;
+    if (take == 0) continue;  // empty programs skew SM load balance
+    work.simulated_tiles += take;
     work.programs.push_back(std::make_unique<Program>(
-        layer, options, sub_begin, /*stride=*/1, sub_end));
+        layer, options, begin, /*stride=*/1, begin + take));
   }
   return work;
 }
@@ -332,21 +320,14 @@ LayerWork build(const LayerAddressing& layer, const LayerTraceOptions& options,
 
 LayerWork make_layer_programs(const core::LayerAddressing& layer, int num_warps,
                               std::uint64_t max_tiles,
-                              const LayerTraceOptions& options, int chunk_index,
-                              int num_chunks) {
-  if (num_chunks < 1 || chunk_index < 0 || chunk_index >= num_chunks) {
-    throw std::invalid_argument("chunk_index/num_chunks out of range");
-  }
+                              const LayerTraceOptions& options) {
   switch (layer.spec.type) {
     case LayerSpec::Type::kConv:
-      return build<ConvWarpProgram>(layer, options, num_warps, max_tiles,
-                                    chunk_index, num_chunks);
+      return build<ConvWarpProgram>(layer, options, num_warps, max_tiles);
     case LayerSpec::Type::kPool:
-      return build<PoolWarpProgram>(layer, options, num_warps, max_tiles,
-                                    chunk_index, num_chunks);
+      return build<PoolWarpProgram>(layer, options, num_warps, max_tiles);
     case LayerSpec::Type::kFc:
-      return build<FcWarpProgram>(layer, options, num_warps, max_tiles,
-                                  chunk_index, num_chunks);
+      return build<FcWarpProgram>(layer, options, num_warps, max_tiles);
   }
   throw std::logic_error("unknown layer type");
 }

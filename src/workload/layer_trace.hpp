@@ -51,19 +51,8 @@ struct LayerWork {
 /// Builds programs for one layer. `max_tiles` caps the simulated slice
 /// (0 = simulate everything); the cap is rounded to at least one tile per
 /// warp when the layer is large enough.
-///
-/// `chunk_index` / `num_chunks` select one sub-layer work unit: each warp's
-/// contiguous tile block is sub-partitioned with the same rounding as the
-/// warp partition itself, and chunk c receives per-warp sub-range
-/// [take*c/C, take*(c+1)/C). The union of all chunks' programs covers exactly
-/// the tiles the unchunked build simulates, each tile once, in the same
-/// per-warp order — which is what makes chunked execution a deterministic
-/// re-bracketing (wave-at-a-time) of the same tile schedule rather than a
-/// different workload. num_chunks == 1 reproduces the unchunked build
-/// byte for byte.
 LayerWork make_layer_programs(const core::LayerAddressing& layer, int num_warps,
                               std::uint64_t max_tiles = 0,
-                              const LayerTraceOptions& options = {},
-                              int chunk_index = 0, int num_chunks = 1);
+                              const LayerTraceOptions& options = {});
 
 }  // namespace sealdl::workload

@@ -41,24 +41,19 @@ struct LayerOutcome {
   telemetry::MetricsRegistry metrics;
   std::vector<telemetry::TimeSample> samples;
   std::optional<telemetry::LayerCycleProfile> profile;
-  std::uint64_t total_tiles = 0;      ///< full-layer tile count
-  std::uint64_t simulated_tiles = 0;  ///< tiles this outcome covers
 };
 
-/// Simulates one work unit: a laid-out layer, or — when chunking is on — one
-/// tile-chunk wave of it. Reads only shared-immutable state (layout, secure
-/// map, config, options) plus its own simulator — safe to run from any
+/// Simulates one laid-out layer. Reads only shared-immutable state (layout,
+/// secure map, config, options) plus its own simulator — safe to run from any
 /// thread, and bit-deterministic regardless of which thread runs it.
 LayerOutcome simulate_layer(const core::LayerAddressing& layer,
                             const sim::GpuConfig& config,
                             const sim::SecureMap& secure_map,
                             const RunOptions& options, int num_warps,
                             bool collect_metrics, sim::Cycle sample_interval,
-                            bool profile, sim::BusProbe* probe,
-                            int chunk_index = 0, int num_chunks = 1) {
+                            bool profile, sim::BusProbe* probe) {
   LayerWork work =
-      make_layer_programs(layer, num_warps, options.max_tiles_per_layer, {},
-                          chunk_index, num_chunks);
+      make_layer_programs(layer, num_warps, options.max_tiles_per_layer);
   sim::GpuSimulator simulator(config, &secure_map);
   simulator.set_fast_path(options.fast_path);
   simulator.load_work(std::move(work.programs));
@@ -84,8 +79,6 @@ LayerOutcome simulate_layer(const core::LayerAddressing& layer,
   outcome.result.name = layer.spec.name;
   outcome.result.stats = simulator.stats();
   outcome.result.scale = work.scale();
-  outcome.total_tiles = work.total_tiles;
-  outcome.simulated_tiles = work.simulated_tiles;
   if (layer.spec.type == models::LayerSpec::Type::kConv) {
     outcome.result.weight_bytes =
         layer.weight_row_pitch * static_cast<std::uint64_t>(layer.spec.in_channels);
@@ -108,40 +101,9 @@ LayerOutcome simulate_layer(const core::LayerAddressing& layer,
   return outcome;
 }
 
-/// Folds one tile-chunk wave into the accumulating layer outcome, strictly in
-/// chunk order from the submitting thread. Waves run back to back on the same
-/// virtual machine, so stats (cycles included) sum, chunk-local sample cycles
-/// shift by the cycles of the waves before them, metrics merge additively,
-/// and profile buckets/totals add (which preserves the profile.* conservation
-/// invariant — sums of exact partitions stay exact). The merged scale is
-/// recomputed from the summed tile coverage.
-void merge_chunk(LayerOutcome&& chunk, std::optional<LayerOutcome>& layer) {
-  if (!layer) {
-    layer.emplace(std::move(chunk));
-    return;
-  }
-  const sim::Cycle base = layer->result.stats.cycles;
-  layer->result.stats.merge_from(chunk.result.stats);
-  layer->simulated_tiles += chunk.simulated_tiles;
-  layer->result.scale =
-      layer->simulated_tiles
-          ? static_cast<double>(layer->total_tiles) /
-                static_cast<double>(layer->simulated_tiles)
-          : 1.0;
-  layer->samples.reserve(layer->samples.size() + chunk.samples.size());
-  for (telemetry::TimeSample sample : chunk.samples) {
-    sample.cycle += base;
-    layer->samples.push_back(sample);
-  }
-  layer->metrics.merge_from(chunk.metrics);
-  if (layer->profile && chunk.profile) {
-    layer->profile->merge_from(*chunk.profile);
-  }
-}
-
 /// Folds one layer's outcome into the run result and the shared telemetry
 /// sink. Called in spec order from the submitting thread only, so the sink
-/// sees the exact operation sequence of a serial run.
+/// sees the same operation sequence for every jobs value.
 void merge_outcome(LayerOutcome outcome, const sim::GpuConfig& config,
                    telemetry::RunTelemetry* collect, NetworkResult& result) {
   if (collect) {
@@ -217,92 +179,52 @@ NetworkResult run_specs(const std::vector<models::LayerSpec>& specs,
 
   BusProbeHook* hook = options.probe_hook;
 
-  // Work-unit plan: one unit per layer, or — with chunk_tiles set — one unit
-  // per tile-chunk wave. The plan is computed up front, in spec order, from
-  // shared-immutable state only, so serial and parallel runs schedule the
-  // exact same unit list.
-  struct WorkUnit {
-    std::size_t spec_index;
-    int chunk;
-    int num_chunks;
-  };
-  std::vector<WorkUnit> units;
-  units.reserve(indices.size());
-  for (const std::size_t idx : indices) {
-    int num_chunks = 1;
-    if (options.chunk_tiles) {
-      // Plan from the unchunked build's coverage (program construction is
-      // lazy geometry arithmetic; nothing is simulated here).
-      const std::uint64_t tiles =
-          make_layer_programs(layout.layers().at(idx), num_warps,
-                              options.max_tiles_per_layer)
-              .simulated_tiles;
-      num_chunks = static_cast<int>(std::max<std::uint64_t>(
-          1, (tiles + options.chunk_tiles - 1) / options.chunk_tiles));
-    }
-    for (int c = 0; c < num_chunks; ++c) units.push_back({idx, c, num_chunks});
-  }
-
-  const int jobs = options.jobs == 1 ? 1 : util::ThreadPool::resolve_jobs(options.jobs);
-  if (jobs <= 1 || units.size() <= 1) {
-    std::optional<LayerOutcome> pending;
-    for (const WorkUnit& unit : units) {
-      std::unique_ptr<sim::BusProbe> probe =
-          hook ? hook->make_probe(unit.spec_index) : nullptr;
-      merge_chunk(
-          simulate_layer(layout.layers().at(unit.spec_index), config,
-                         heap.secure_map(), options, num_warps,
-                         collect_metrics, sample_interval, profile,
-                         probe.get(), unit.chunk, unit.num_chunks),
-          pending);
-      if (hook) hook->merge_probe(std::move(probe), unit.spec_index);
-      if (unit.chunk == unit.num_chunks - 1) {
-        merge_outcome(std::move(*pending), config, collect, result);
-        pending.reset();
-      }
-    }
-    return result;
-  }
-
-  // The pool is declared after layout/heap so that, if a merge rethrows a
-  // task exception, its destructor drains in-flight tasks while everything
-  // they borrow is still alive.
-  util::ThreadPool pool(
-      static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(jobs),
-                                             units.size())));
-  std::vector<std::future<LayerOutcome>> futures;
-  futures.reserve(units.size());
-  // Probes are created in unit order before submission and owned here (they
-  // must outlive the tasks); each task only sees its own probe, and the
-  // merge loop hands them back in the same order — the task-private +
-  // ordered-merge discipline that keeps hook state jobs-invariant. A layer's
-  // chunk probes merge back to back, so a hook accumulating per spec_index
-  // sees the same additive sequence as a serial run.
+  const std::size_t n = indices.size();
+  // Probes are created in spec order and owned here (they must outlive the
+  // tasks); each task only sees its own probe, and the merge below hands
+  // them back in the same order — the task-private + ordered-merge
+  // discipline that keeps hook state jobs-invariant.
   std::vector<std::unique_ptr<sim::BusProbe>> probes;
-  probes.reserve(units.size());
-  for (const WorkUnit& unit : units) {
-    probes.push_back(hook ? hook->make_probe(unit.spec_index) : nullptr);
-    sim::BusProbe* probe = probes.back().get();
-    futures.push_back(pool.submit([&layout, &config, &heap, &options, num_warps,
-                                   collect_metrics, sample_interval, profile,
-                                   probe, unit] {
-      return simulate_layer(layout.layers().at(unit.spec_index), config,
-                            heap.secure_map(), options, num_warps,
-                            collect_metrics, sample_interval, profile, probe,
-                            unit.chunk, unit.num_chunks);
-    }));
+  std::vector<std::future<LayerOutcome>> futures;
+  probes.reserve(n);
+  futures.reserve(n);
+  // A pool only when there is parallelism to use. It is declared after
+  // everything its tasks borrow (layout, heap, probes), so if a merge
+  // rethrows a task exception its destructor drains in-flight tasks while
+  // all of that is still alive.
+  const int jobs = options.jobs == 1 ? 1 : util::ThreadPool::resolve_jobs(options.jobs);
+  std::optional<util::ThreadPool> pool;
+  if (jobs > 1 && n > 1) {
+    pool.emplace(static_cast<int>(
+        std::min<std::size_t>(static_cast<std::size_t>(jobs), n)));
   }
-  // Merge strictly in submission (= spec x chunk) order; get() rethrows the
-  // first task exception to the caller. Chunk waves fold into a pending
-  // layer outcome, which flushes to the shared sink when its last chunk
-  // lands — the sink sees one operation sequence regardless of jobs.
-  std::optional<LayerOutcome> pending;
-  for (std::size_t k = 0; k < futures.size(); ++k) {
-    merge_chunk(futures[k].get(), pending);
-    if (hook) hook->merge_probe(std::move(probes[k]), units[k].spec_index);
-    if (units[k].chunk == units[k].num_chunks - 1) {
-      merge_outcome(std::move(*pending), config, collect, result);
-      pending.reset();
+  // One submit-and-merge loop for every jobs value. With a pool, every layer
+  // is submitted before the first merge; without one, each layer is a
+  // deferred task that runs inline at get(), merged before the next layer
+  // starts, so a serial run holds one outcome and one probe at a time.
+  // Either way merges run strictly in spec order on this thread — get()
+  // rethrows the first task exception — so the sink sees one operation
+  // sequence regardless of jobs.
+  const std::size_t ahead = pool ? n : 0;
+  for (std::size_t k = 0; k < n + ahead; ++k) {
+    if (k < n) {
+      const std::size_t idx = indices[k];
+      probes.push_back(hook ? hook->make_probe(idx) : nullptr);
+      auto task = [&layout, &config, &heap, &options, num_warps,
+                   collect_metrics, sample_interval, profile,
+                   probe = probes.back().get(), idx] {
+        return simulate_layer(layout.layers().at(idx), config,
+                              heap.secure_map(), options, num_warps,
+                              collect_metrics, sample_interval, profile, probe);
+      };
+      futures.push_back(pool ? pool->submit(std::move(task))
+                             : std::async(std::launch::deferred, std::move(task)));
+    }
+    if (k >= ahead) {
+      const std::size_t m = k - ahead;
+      LayerOutcome outcome = futures[m].get();
+      if (hook) hook->merge_probe(std::move(probes[m]), indices[m]);
+      merge_outcome(std::move(outcome), config, collect, result);
     }
   }
   return result;

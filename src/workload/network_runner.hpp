@@ -90,28 +90,18 @@ struct RunOptions {
   /// metrics, and (when its sampler is configured) time series. Null — the
   /// default — collects nothing and leaves simulation cycle-identical.
   telemetry::RunTelemetry* telemetry = nullptr;
-  /// Worker threads for the per-layer simulations: 1 (default) runs the
-  /// serial loop, 0 uses one worker per hardware thread, N > 1 uses N
-  /// workers. Layers are independent GpuSimulator instances over the shared
-  /// read-only layout/plan/secure-map, and results and telemetry are merged
-  /// back in spec order — the output is bitwise-identical to jobs = 1
+  /// Worker threads for the per-layer simulations: 1 (default) runs every
+  /// layer inline on the calling thread, 0 uses one worker per hardware
+  /// thread, N > 1 uses N workers. Each layer is one work unit — an
+  /// independent GpuSimulator over the shared read-only layout/plan/secure-map
+  /// — and results and telemetry are merged back in spec order by the same
+  /// loop for every value, so the output is bitwise-identical to jobs = 1
   /// regardless of worker count or scheduling (see docs/SIMULATOR.md,
   /// "Parallel layer simulation").
   int jobs = 1;
   /// Optional bus-traffic observer (taint auditing). Null — the default —
   /// attaches no probe and leaves simulation cycle-identical.
   BusProbeHook* probe_hook = nullptr;
-  /// Sub-layer work-unit granularity: when non-zero, each layer's simulated
-  /// tile slice is split into ceil(tiles / chunk_tiles) chunk waves, each a
-  /// private GpuSimulator run (caches cold per wave, cycles summed), merged
-  /// back strictly in (layer, chunk) order. A deep network whose layer count
-  /// barely exceeds the worker count then still scales: the scheduler has
-  /// layers x chunks independent units to balance. 0 — the default — keeps
-  /// one work unit per layer and is byte-identical to the pre-chunking
-  /// runner. Chunked results are a different (coarser-reuse) simulation than
-  /// unchunked ones, but for a fixed chunk_tiles they are bitwise-invariant
-  /// across --jobs, same as everything else in this runner.
-  std::uint64_t chunk_tiles = 0;
   /// Selects the simulator run loop (see GpuSimulator::set_fast_path).
   /// false = naive every-SM-every-cycle reference, for differential testing.
   bool fast_path = true;

@@ -1,10 +1,11 @@
 // Golden harness for parallel layer-level simulation: run_network at any
 // jobs level (1/2/4/8) must be *bitwise*-identical to jobs=1 — stats,
 // per-layer phase records, metrics registry, cycle profile, and the sampled
-// time series — across three networks, two encryption ratios, and several
-// tile-chunk granularities; the shared plan/layout the parallel run
-// simulates must stay sealdl-check clean; and every profiled run must pass
-// the profile.* conservation rules. Also regression-tests that two runners
+// time series — across three networks and two encryption ratios. jobs=1
+// runs every layer inline and jobs>1 through a pool, so the ladder covers
+// both sides of the runner's one submit-and-merge loop. The shared
+// plan/layout the parallel run simulates must stay sealdl-check clean, and
+// every profiled run must pass the profile.* conservation rules. Also regression-tests that two runners
 // executing concurrently do not perturb each other.
 #include <gtest/gtest.h>
 
@@ -44,7 +45,7 @@ struct SimRun {
 };
 
 SimRun run_with_jobs(const std::vector<models::LayerSpec>& specs, double ratio,
-                     int jobs, std::uint64_t chunk_tiles = 0) {
+                     int jobs) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
   config.scheme = sim::EncryptionScheme::kDirect;
   RunOptions options;
@@ -52,14 +53,13 @@ SimRun run_with_jobs(const std::vector<models::LayerSpec>& specs, double ratio,
   options.selective = true;
   options.plan.encryption_ratio = ratio;
   options.jobs = jobs;
-  options.chunk_tiles = chunk_tiles;
   SimRun run;
   options.telemetry = &run.telemetry;
   run.result = run_network(specs, config, options);
   return run;
 }
 
-/// Every profiled run — any jobs level, any chunking — must satisfy the
+/// Every profiled run — any jobs level — must satisfy the
 /// profile.* rules: per-component buckets sum exactly to the component
 /// total, and all components of a layer agree on that total.
 void expect_profile_conserved(const SimRun& run) {
@@ -199,46 +199,6 @@ TEST(ParallelDeterminismLadder, AllJobsLevelsMatchSerial) {
     expect_runs_identical(serial, parallel);
     expect_profile_conserved(parallel);
   }
-}
-
-// Tile-chunked work units: for a FIXED chunk size the run is bitwise
-// jobs-invariant across the whole ladder — stats, registry, profile, samples
-// — and the chunk-merged profile still conserves every cycle. (A chunked run
-// is a different simulation than an unchunked one — caches restart cold per
-// wave — so chunk sizes are only ever compared with themselves.)
-class ChunkedDeterminism : public ::testing::TestWithParam<
-                               std::tuple<const char*, std::uint64_t>> {};
-
-TEST_P(ChunkedDeterminism, ChunkedRunIsJobsInvariant) {
-  const auto& [net, chunk] = GetParam();
-  const auto specs = specs_for(net);
-  const SimRun serial = run_with_jobs(specs, 0.5, /*jobs=*/1, chunk);
-  expect_profile_conserved(serial);
-  for (const int jobs : {4, 8}) {
-    const SimRun parallel = run_with_jobs(specs, 0.5, jobs, chunk);
-    expect_runs_identical(serial, parallel);
-    expect_profile_conserved(parallel);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    NetworksAndChunks, ChunkedDeterminism,
-    ::testing::Combine(::testing::Values("vgg16", "resnet18"),
-                       ::testing::Values(std::uint64_t{5}, std::uint64_t{16})),
-    [](const ::testing::TestParamInfo<ChunkedDeterminism::ParamType>& info) {
-      return std::string(std::get<0>(info.param)) + "_chunk" +
-             std::to_string(std::get<1>(info.param));
-    });
-
-// chunk_tiles large enough to hold every tile of every layer must degenerate
-// to exactly the unchunked runner — same bytes everywhere. This pins the
-// "chunking off by default changes nothing" contract from the other side.
-TEST(ChunkedDeterminism, OversizedChunkMatchesUnchunked) {
-  const auto specs = specs_for("resnet18");
-  const SimRun unchunked = run_with_jobs(specs, 0.5, /*jobs=*/2);
-  const SimRun one_chunk =
-      run_with_jobs(specs, 0.5, /*jobs=*/2, /*chunk_tiles=*/kTiles * 64);
-  expect_runs_identical(unchunked, one_chunk);
 }
 
 // Regression: runners executing concurrently (each itself parallel) must not

@@ -193,18 +193,28 @@ TEST(Phase, ClassifyBoundPicksDominantSaturatedResource) {
 }
 
 TEST(Sampler, SegmentsRebaseOntoGlobalTimeline) {
-  IntervalSampler sampler(100);
-  EXPECT_FALSE(sampler.due(99));
-  EXPECT_TRUE(sampler.due(100));
-  sampler.record({120, 1.0, 0.5, 0.25, 640});
-  EXPECT_FALSE(sampler.due(219));
-  EXPECT_TRUE(sampler.due(220));
-  sampler.begin_segment(1000);  // next layer starts at global cycle 1000
-  EXPECT_FALSE(sampler.due(50));
-  sampler.record({100, 2.0, 0.0, 0.0, 0});
-  ASSERT_EQ(sampler.samples().size(), 2u);
-  EXPECT_EQ(sampler.samples()[0].cycle, 120u);
-  EXPECT_EQ(sampler.samples()[1].cycle, 1100u);
+  // Each layer samples into a private sampler on its local timeline.
+  IntervalSampler first(100);
+  EXPECT_FALSE(first.due(99));
+  EXPECT_TRUE(first.due(100));
+  first.record({120, 1.0, 0.5, 0.25, 640});
+  EXPECT_FALSE(first.due(219));
+  EXPECT_TRUE(first.due(220));
+  IntervalSampler second(100);  // next layer restarts at local cycle 0
+  EXPECT_FALSE(second.due(50));
+  second.record({100, 2.0, 0.0, 0.0, 0});
+  ASSERT_EQ(second.samples().front().cycle, 100u);
+
+  // The runner splices them in order, the second layer starting at global
+  // cycle 1000; only the cycle moves.
+  IntervalSampler global(100);
+  global.append_shifted(first.samples(), 0);
+  global.append_shifted(second.samples(), 1000);
+  ASSERT_EQ(global.samples().size(), 2u);
+  EXPECT_EQ(global.samples()[0].cycle, 120u);
+  EXPECT_EQ(global.samples()[1].cycle, 1100u);
+  EXPECT_EQ(global.samples()[0].dram_bytes, 640u);
+  EXPECT_DOUBLE_EQ(global.samples()[1].ipc, 2.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@
 #      only move on hardware able to show parallelism never ratchets down.
 #
 #   2. Checksum pin. When the two artifacts describe the identical workload
-#      (tiles, input, ratio, chunk, fast_path), their cycle checksums must be
+#      (tiles, input, ratio, fast_path), their cycle checksums must be
 #      equal — wall-clock may drift with the host, simulated cycles may not.
-#      Absent fields in older artifacts default to the pre-knob behaviour
-#      (chunk=0, fast_path=true) so the gate tolerates snapshots that predate
-#      the schema.
+#      An absent fast_path in older artifacts defaults to the pre-knob
+#      behaviour (true) so the gate tolerates snapshots that predate the
+#      schema; keys no longer emitted (e.g. a recorded "chunk":0) are
+#      ignored.
 
 if(NOT DEFINED FRESH OR NOT DEFINED COMMITTED)
   message(FATAL_ERROR
@@ -108,10 +109,8 @@ endif()
 
 # ---- Gate 2: cycle checksum pin on identical workload params --------------
 set(params_match TRUE)
-foreach(key tiles input ratio chunk fast_path)
-  if(key STREQUAL "chunk")
-    set(default 0)
-  elseif(key STREQUAL "fast_path")
+foreach(key tiles input ratio fast_path)
+  if(key STREQUAL "fast_path")
     set(default true)
   else()
     set(default "")

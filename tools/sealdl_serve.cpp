@@ -36,7 +36,8 @@
 // starts — every registered scheme, paper and rival alike (docs/ANALYSIS.md,
 // "Security analysis").
 //
-// Exit codes: 0 success, 1 runtime error, 2 invalid serving configuration —
+// Exit codes: 0 success, 1 runtime error or unknown flag, 2 invalid serving
+// configuration —
 // the config is statically validated up front (verify/serve_checkers.hpp,
 // rule family serve.options.*) and violations print with their rule ids
 // rather than asserting deep inside the scheduler.
@@ -57,7 +58,6 @@
 #include "util/json.hpp"
 #include "util/table.hpp"
 #include "verify/fleet_checkers.hpp"
-#include "verify/profile_checkers.hpp"
 #include "verify/scheme_checkers.hpp"
 #include "verify/serve_checkers.hpp"
 
@@ -162,8 +162,9 @@ int run(int argc, char** argv) {
     topts.sample_interval = sample_interval;
     collect = std::make_unique<telemetry::RunTelemetry>(topts);
   }
-  for (const auto& unused : flags.unused()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", unused.c_str());
+  // Unknown flags are an error: refuse them before profiling anything.
+  if (const auto unused = flags.unused(); !unused.empty()) {
+    throw std::invalid_argument("unknown flag --" + unused.front());
   }
 
   std::vector<serve::NamedNetwork> networks;
@@ -274,14 +275,12 @@ int run(int argc, char** argv) {
     return 1;
   }
 
-  // Post-run reconciliation. fleet.* proves the per-device decomposition
-  // sums back to the fleet totals; profile.serve.stages proves the
-  // per-request lifecycle stages sum to the measured latency. A failure in
-  // either is a scheduler accounting bug, not a configuration error.
-  verify::Report stage_report;
-  verify::check_serve_stage_totals(report.stage_cycles_sum,
-                                   report.latency_cycles_sum, stage_report);
-  verify::check_fleet_report(fleet_options, fleet_report, stage_report);
+  // Post-run reconciliation: fleet.* proves the per-device decomposition
+  // sums back to the fleet totals and the per-request lifecycle stages sum
+  // to the measured latency. A failure is a scheduler accounting bug, not a
+  // configuration error.
+  const verify::Report stage_report =
+      verify::run_fleet_report_check(fleet_options, fleet_report);
   if (stage_report.error_count() > 0) {
     std::fputs(stage_report.to_text().c_str(), stderr);
     std::fprintf(stderr, "sealdl-serve: fleet accounting does not reconcile\n");

@@ -15,9 +15,6 @@
 //
 // Execution shape:
 //   --jobs N         parallel per-layer simulation workers (>= 1)
-//   --chunk N        split layers into tile-chunk waves of <= N tiles, so deep
-//                    networks scale past #layers workers (results fixed for a
-//                    given --chunk, bitwise-invariant across --jobs)
 //   --no-fast-path   naive per-cycle run loop (differential testing; identical
 //                    results, much slower)
 //
@@ -46,6 +43,9 @@
 // hidden --inject-profile <conservation|total> flag seeds a violation and
 // exits 0 only if the checker catches it (self-test, same discipline as
 // sealdl-check --inject).
+//
+// Unknown flags, and flags the chosen workload does not read, are an error:
+// the tool names the flag and exits 1 before simulating anything.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -83,6 +83,36 @@ std::uint64_t non_negative(const util::CliFlags& flags, const char* name,
                                 std::to_string(value));
   }
   return static_cast<std::uint64_t>(value);
+}
+
+/// Builds the lone CONV/POOL/FC layer of a single-layer workload from its
+/// shape flags.
+models::LayerSpec single_layer_spec(const std::string& workload,
+                                    const util::CliFlags& flags) {
+  models::LayerSpec spec;
+  spec.name = workload;
+  if (workload == "fc") {
+    spec.type = models::LayerSpec::Type::kFc;
+    spec.in_features = static_cast<int>(flags.get_int("in-features", 4096));
+    spec.out_features = static_cast<int>(flags.get_int("out-features", 4096));
+    return spec;
+  }
+  spec.type = workload == "conv" ? models::LayerSpec::Type::kConv
+                                 : models::LayerSpec::Type::kPool;
+  spec.in_channels = static_cast<int>(flags.get_int("in-ch", 64));
+  spec.out_channels = static_cast<int>(
+      flags.get_int("out-ch", workload == "pool" ? spec.in_channels : 64));
+  spec.in_h = spec.in_w = static_cast<int>(flags.get_int("hw", 56));
+  if (workload == "pool") {
+    spec.kernel = spec.stride = 2;
+    spec.padding = 0;
+    spec.out_channels = spec.in_channels;
+  } else {
+    spec.kernel = static_cast<int>(flags.get_int("kernel", 3));
+    spec.stride = static_cast<int>(flags.get_int("stride", 1));
+    spec.padding = spec.kernel / 2;
+  }
+  return spec;
 }
 
 void print_stats(const sim::SimStats& stats, double scale,
@@ -200,10 +230,6 @@ int run(int argc, char** argv) {
     throw std::invalid_argument("--jobs must be >= 1, got " +
                                 flags.get("jobs", ""));
   }
-  // Sub-layer work units: --chunk N splits each layer's simulated slice into
-  // tile-chunk waves of at most N tiles (0 = whole layer per unit). For a
-  // fixed --chunk the results are bitwise-identical across --jobs.
-  options.chunk_tiles = non_negative(flags, "chunk", 0);
   // Naive per-cycle run loop for differential testing of the event-skipping
   // fast path (identical results, much slower).
   options.fast_path = !flags.get_bool("no-fast-path", false);
@@ -217,9 +243,30 @@ int run(int argc, char** argv) {
     options.plan.full_tail_fcs = 0;
   }
 
+  // Workload shape: every workload-specific flag is read here, so the
+  // unknown-flag check below sees them all before anything is simulated.
+  int dim = 0;
+  int input = 0;
+  std::vector<models::LayerSpec> specs;
+  if (workload == "gemm") {
+    dim = static_cast<int>(flags.get_int("dim", 1024));
+  } else if (single_layer) {
+    specs = {single_layer_spec(workload, flags)};
+  } else {
+    input = static_cast<int>(flags.get_int("input", 224));
+    specs = workload == "vgg16"      ? models::vgg16_specs(input)
+            : workload == "resnet18" ? models::resnet18_specs(input)
+            : workload == "resnet34"
+                ? models::resnet34_specs(input)
+                : throw std::invalid_argument("unknown --workload " + workload);
+  }
+  if (const auto unused = flags.unused(); !unused.empty()) {
+    throw std::invalid_argument("unknown flag --" + unused.front());
+  }
+
   if (workload == "gemm") {
     workload::GemmSpec spec;
-    spec.m = spec.n = spec.k = static_cast<int>(flags.get_int("dim", 1024));
+    spec.m = spec.n = spec.k = dim;
     spec.a_base = 0x1000'0000;
     spec.b_base = 0x2000'0000;
     spec.c_base = 0x3000'0000;
@@ -254,42 +301,13 @@ int run(int argc, char** argv) {
         collect->profile().layers.push_back(std::move(layer_profile));
       }
     }
-  } else if (workload == "conv" || workload == "pool" || workload == "fc") {
-    models::LayerSpec spec;
-    spec.name = workload;
-    if (workload == "fc") {
-      spec.type = models::LayerSpec::Type::kFc;
-      spec.in_features = static_cast<int>(flags.get_int("in-features", 4096));
-      spec.out_features = static_cast<int>(flags.get_int("out-features", 4096));
-    } else {
-      spec.type = workload == "conv" ? models::LayerSpec::Type::kConv
-                                     : models::LayerSpec::Type::kPool;
-      spec.in_channels = static_cast<int>(flags.get_int("in-ch", 64));
-      spec.out_channels = static_cast<int>(
-          flags.get_int("out-ch", workload == "pool" ? spec.in_channels : 64));
-      spec.in_h = spec.in_w = static_cast<int>(flags.get_int("hw", 56));
-      if (workload == "pool") {
-        spec.kernel = spec.stride = 2;
-        spec.padding = 0;
-        spec.out_channels = spec.in_channels;
-      } else {
-        spec.kernel = static_cast<int>(flags.get_int("kernel", 3));
-        spec.stride = static_cast<int>(flags.get_int("stride", 1));
-        spec.padding = spec.kernel / 2;
-      }
-    }
-    const auto result = workload::run_single_layer(spec, config, options);
+  } else if (single_layer) {
+    const auto result = workload::run_single_layer(specs.front(), config, options);
     std::printf("%s layer, scheme %s%s\n", workload.c_str(),
                 sim::scheme_name(config.scheme),
                 config.selective ? " (SEAL selective)" : "");
     print_stats(result.stats, result.scale, config);
   } else {
-    const int input = static_cast<int>(flags.get_int("input", 224));
-    const auto specs = workload == "vgg16"      ? models::vgg16_specs(input)
-                       : workload == "resnet18" ? models::resnet18_specs(input)
-                       : workload == "resnet34"
-                           ? models::resnet34_specs(input)
-                           : throw std::invalid_argument("unknown --workload " + workload);
     // The audit input reproduces the runner's layout bit-identically, which
     // is what lets the probe classify live bus addresses from outside.
     std::optional<verify::AnalysisInput> audit_input;
@@ -523,10 +541,6 @@ int run(int argc, char** argv) {
                   "or speedscope)\n",
                   folded_path.c_str());
     }
-  }
-
-  for (const auto& unused : flags.unused()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", unused.c_str());
   }
   return 0;
 }
