@@ -47,7 +47,8 @@ inline std::vector<SchemeConfig> five_schemes() {
   return schemes_from_registry(/*include_rivals=*/false);
 }
 
-/// The paper's five schemes plus the registered rivals (Seculator, GuardNN).
+/// The paper's five schemes plus the other registered entries
+/// (Split-Counter, GuardNN).
 inline std::vector<SchemeConfig> all_schemes() {
   return schemes_from_registry(/*include_rivals=*/true);
 }

@@ -20,7 +20,7 @@ int main_impl(int argc, char** argv) {
   bench::banner("Figure 7 — overall IPC normalized to Baseline",
                 "Direct/Counter reduce whole-inference IPC by 30-38%; SEAL-D "
                 "and SEAL-C improve over them by 1.4x and 1.34x (plus the "
-                "Seculator/GuardNN rivals for context)");
+                "Split-Counter/GuardNN entries for context)");
 
   const std::vector<std::pair<std::string, std::vector<models::LayerSpec>>> nets = {
       {"VGG-16", models::vgg16_specs(input)},

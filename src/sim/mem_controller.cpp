@@ -34,7 +34,7 @@ Addr MemoryController::counter_line_addr(Addr data_addr) const {
   const Addr counter_index = data_addr / static_cast<Addr>(config_.line_bytes);
   const Addr byte_addr =
       kCounterRegionBase +
-      counter_index * static_cast<Addr>(model_->counter_bytes_per_line(config_));
+      counter_index * static_cast<Addr>(config_.effective_counter_bytes());
   return byte_addr & ~static_cast<Addr>(config_.line_bytes - 1);
 }
 

@@ -1,7 +1,5 @@
 #include "sim/scheme_model.hpp"
 
-#include "sim/gpu_config.hpp"
-
 namespace sealdl::sim {
 
 const char* protection_scope_name(ProtectionScope scope) {
@@ -16,10 +14,6 @@ const char* protection_scope_name(ProtectionScope scope) {
       return "weights";
   }
   return "?";
-}
-
-int SchemeModel::counter_bytes_per_line(const GpuConfig& /*config*/) const {
-  return 0;
 }
 
 }  // namespace sealdl::sim

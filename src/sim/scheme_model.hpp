@@ -25,8 +25,6 @@
 
 namespace sealdl::sim {
 
-struct GpuConfig;
-
 /// Which addresses a scheme protects (drives secure-map construction and the
 /// scheme.boundary conformance clause).
 enum class ProtectionScope : std::uint8_t {
@@ -111,11 +109,6 @@ class SchemeModel {
 
   /// Whether the controller must instantiate an on-chip counter cache.
   [[nodiscard]] virtual bool uses_counter_cache() const { return false; }
-
-  /// Bytes of counter storage per data line (counter-region address layout);
-  /// 0 for schemes without metadata. Counter-family models read the
-  /// configured organization; compact-layout schemes override it outright.
-  [[nodiscard]] virtual int counter_bytes_per_line(const GpuConfig& config) const;
 };
 
 }  // namespace sealdl::sim

@@ -68,7 +68,7 @@ class DirectModel final : public SchemeModel {
 /// Counter mode: pad generation starts as soon as the counter is known and
 /// overlaps the data fetch; the final XOR costs one cycle. Counter blocks are
 /// fetched through the same channel via an on-chip counter cache.
-class CounterModel : public SchemeModel {
+class CounterModel final : public SchemeModel {
  public:
   explicit CounterModel(const SchemeContract& contract) : contract_(contract) {}
   [[nodiscard]] const SchemeContract& contract() const override {
@@ -90,25 +90,9 @@ class CounterModel : public SchemeModel {
     return host.dram_schedule(pad_done + 1, bytes);
   }
   [[nodiscard]] bool uses_counter_cache() const override { return true; }
-  [[nodiscard]] int counter_bytes_per_line(const GpuConfig& config) const override {
-    return config.effective_counter_bytes();
-  }
 
  private:
   SchemeContract contract_;
-};
-
-/// Seculator-style compact counter layout (PAPERS.md): the timing dataflow is
-/// standard counter mode, but counters are packed one byte per data line
-/// regardless of the configured counter width — 8x more counters per
-/// counter-cache line than the default 64-bit organization, so the same 96 KB
-/// cache covers 8x the footprint and metadata fills drop accordingly.
-class SeculatorModel final : public CounterModel {
- public:
-  using CounterModel::CounterModel;
-  [[nodiscard]] int counter_bytes_per_line(const GpuConfig& /*config*/) const override {
-    return 1;
-  }
 };
 
 // GuardNN-style selective protection reuses DirectModel timing with a
@@ -157,10 +141,9 @@ const DirectModel g_direct{kDirectFull};
 const CounterModel g_counter{kCounterFull};
 const DirectModel g_seal_d{kSealD};
 const CounterModel g_seal_c{kSealC};
-const SeculatorModel g_seculator{kCounterFull};
 const DirectModel g_guardnn{kGuardNN};
 
-// Paper schemes first (the order the fig benches sweep), rivals after.
+// Paper schemes first (the order the fig benches sweep), the others after.
 constexpr int kNumSchemes = 7;
 const std::array<SchemeInfo, kNumSchemes> g_registry{{
     {"baseline", "Baseline", EncryptionScheme::kNone, ProtectionScope::kNone,
@@ -173,8 +156,11 @@ const std::array<SchemeInfo, kNumSchemes> g_registry{{
      &g_seal_d, /*paper=*/true},
     {"seal-c", "SEAL-C", EncryptionScheme::kCounter, ProtectionScope::kPlanRows,
      &g_seal_c, /*paper=*/true},
-    {"seculator", "Seculator", EncryptionScheme::kCounter, ProtectionScope::kAll,
-     &g_seculator, /*paper=*/false},
+    // Counter mode with split counters (Yan et al.): the same model as
+    // Counter, with one counter byte per data line instead of eight.
+    {"split-counter", "Split-Counter", EncryptionScheme::kCounter,
+     ProtectionScope::kAll, &g_counter, /*paper=*/false,
+     /*split_counters=*/true},
     {"guardnn", "GuardNN", EncryptionScheme::kDirect, ProtectionScope::kWeights,
      &g_guardnn, /*paper=*/false},
 }};
@@ -218,6 +204,7 @@ void apply_scheme(const SchemeInfo& info, GpuConfig& config) {
   config.scheme = info.family;
   config.selective = info.selective();
   config.scheme_model = info.model;
+  config.split_counters = info.split_counters;
 }
 
 }  // namespace sealdl::sim

@@ -26,6 +26,7 @@ struct SchemeInfo {
   ProtectionScope scope;    ///< what the scheme protects
   const SchemeModel* model; ///< registry-owned singleton, never null
   bool paper;               ///< one of the paper's five schemes (fig benches)
+  bool split_counters = false;  ///< 1-byte counters (GpuConfig::split_counters)
 
   /// Whether the scheme needs a SecureMap (any scope narrower than "all").
   [[nodiscard]] bool selective() const {

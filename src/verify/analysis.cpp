@@ -62,7 +62,8 @@ void derive_regions(AnalysisInput& input) {
 }
 
 [[noreturn]] void not_applicable(Injection injection, const char* why) {
-  throw std::invalid_argument(std::string("inject ") + injection_name(injection) +
+  throw std::invalid_argument(std::string("inject ") +
+                              injection_info(injection).name +
                               " not applicable: " + why);
 }
 
@@ -140,8 +141,7 @@ void apply_model_injection(AnalysisInput& input) {
       }
       not_applicable(input.inject, "no layer with >= 2 rows");
     }
-    case Injection::kPlanClosure:
-    case Injection::kTraceMixed: {
+    case Injection::kPlanClosure: {
       const auto& plan = require_plan(input);
       for (std::size_t i = 0; i < input.specs.size(); ++i) {
         if (input.specs[i].type != LayerSpec::Type::kConv) continue;

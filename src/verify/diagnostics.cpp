@@ -1,6 +1,7 @@
 #include "verify/diagnostics.hpp"
 
 #include <cstdio>
+#include <utility>
 
 namespace sealdl::verify {
 
@@ -23,6 +24,14 @@ void Report::add(Diagnostic diagnostic) {
     ++warnings_;
   }
   if (count <= max_per_rule_) diagnostics_.push_back(std::move(diagnostic));
+}
+
+void Report::error(std::string rule, std::string message) {
+  Diagnostic diagnostic;
+  diagnostic.rule = std::move(rule);
+  diagnostic.severity = Severity::kError;
+  diagnostic.message = std::move(message);
+  add(std::move(diagnostic));
 }
 
 std::uint64_t Report::count(std::string_view rule) const {
@@ -95,6 +104,13 @@ void Report::write_json(util::JsonWriter& json) const {
   }
   json.end_array();
   json.end_object();
+}
+
+std::string fmt(const char* format, double value) {
+  // Large enough that no message + "%g" rendering can truncate.
+  char buffer[160];
+  std::snprintf(buffer, sizeof(buffer), format, value);
+  return buffer;
 }
 
 }  // namespace sealdl::verify

@@ -44,6 +44,8 @@ class Report {
   explicit Report(std::size_t max_per_rule = 16) : max_per_rule_(max_per_rule) {}
 
   void add(Diagnostic diagnostic);
+  /// Adds a network-wide error finding: no layer, no address range.
+  void error(std::string rule, std::string message);
 
   [[nodiscard]] const std::vector<Diagnostic>& diagnostics() const {
     return diagnostics_;
@@ -72,5 +74,9 @@ class Report {
   std::uint64_t errors_ = 0;
   std::uint64_t warnings_ = 0;
 };
+
+/// printf-style rendering of one double into a diagnostic message, e.g.
+/// fmt("link latency must be >= 0 cycles (got %g)", latency).
+[[nodiscard]] std::string fmt(const char* format, double value);
 
 }  // namespace sealdl::verify

@@ -6,24 +6,6 @@
 
 namespace sealdl::verify {
 
-namespace {
-
-void add_error(Report& report, const char* rule, std::string message) {
-  Diagnostic diagnostic;
-  diagnostic.rule = rule;
-  diagnostic.severity = Severity::kError;
-  diagnostic.message = std::move(message);
-  report.add(std::move(diagnostic));
-}
-
-std::string fmt(const char* format, double value) {
-  char buffer[160];
-  std::snprintf(buffer, sizeof(buffer), format, value);
-  return buffer;
-}
-
-}  // namespace
-
 std::vector<std::string> fleet_rules() {
   return {"fleet.options.devices", "fleet.options.router",
           "fleet.options.shard",   "fleet.options.link",
@@ -33,47 +15,47 @@ std::vector<std::string> fleet_rules() {
 
 void check_fleet_options(const serve::FleetOptions& options, Report& report) {
   if (options.devices < 1) {
-    add_error(report, "fleet.options.devices",
-              "device count must be >= 1 (got " +
-                  std::to_string(options.devices) + ")");
+    report.error("fleet.options.devices",
+                 "device count must be >= 1 (got " +
+                     std::to_string(options.devices) + ")");
   }
   if (!serve::router_known(options.router)) {
-    add_error(report, "fleet.options.router",
-              "router policy value " +
-                  std::to_string(static_cast<int>(options.router)) +
-                  " is not a declared enumerator "
-                  "(round-robin|least-loaded|affinity)");
+    report.error("fleet.options.router",
+                 "router policy value " +
+                     std::to_string(static_cast<int>(options.router)) +
+                     " is not a declared enumerator "
+                     "(round-robin|least-loaded|affinity)");
   }
   if (options.shard_stages < 1) {
-    add_error(report, "fleet.options.shard",
-              "shard stages must be >= 1 (got " +
-                  std::to_string(options.shard_stages) + ")");
+    report.error("fleet.options.shard",
+                 "shard stages must be >= 1 (got " +
+                     std::to_string(options.shard_stages) + ")");
   } else if (options.devices >= 1 &&
              (options.shard_stages > options.devices ||
               options.devices % options.shard_stages != 0)) {
-    add_error(report, "fleet.options.shard",
-              std::to_string(options.devices) + " device(s) cannot host " +
-                  std::to_string(options.shard_stages) +
-                  "-stage pipelines: devices must be a multiple of the "
-                  "stage count");
+    report.error("fleet.options.shard",
+                 std::to_string(options.devices) + " device(s) cannot host " +
+                     std::to_string(options.shard_stages) +
+                     "-stage pipelines: devices must be a multiple of the "
+                     "stage count");
   }
   if (options.microbatch < 1) {
-    add_error(report, "fleet.options.shard",
-              "microbatch count must be >= 1 (got " +
-                  std::to_string(options.microbatch) + ")");
+    report.error("fleet.options.shard",
+                 "microbatch count must be >= 1 (got " +
+                     std::to_string(options.microbatch) + ")");
   }
   if (!(options.link_latency_cycles >= 0.0) ||
       !std::isfinite(options.link_latency_cycles)) {
-    add_error(report, "fleet.options.link",
-              fmt("link latency must be finite and >= 0 cycles (got %g)",
-                  options.link_latency_cycles));
+    report.error("fleet.options.link",
+                 fmt("link latency must be finite and >= 0 cycles (got %g)",
+                     options.link_latency_cycles));
   }
   if (!(options.link_bytes_per_cycle > 0.0) ||
       !std::isfinite(options.link_bytes_per_cycle)) {
-    add_error(report, "fleet.options.link",
-              fmt("link bandwidth must be a positive finite bytes/cycle "
-                  "(got %g)",
-                  options.link_bytes_per_cycle));
+    report.error("fleet.options.link",
+                 fmt("link bandwidth must be a positive finite bytes/cycle "
+                     "(got %g)",
+                     options.link_bytes_per_cycle));
   }
 }
 
@@ -84,18 +66,20 @@ void check_fleet_report(const serve::FleetOptions& options,
   // fleet.devices: structural consistency of the per-device decomposition.
   if (fleet.device_reports.size() !=
       static_cast<std::size_t>(options.devices)) {
-    add_error(report, "fleet.devices",
-              "report carries " + std::to_string(fleet.device_reports.size()) +
-                  " device entries for a " + std::to_string(options.devices) +
-                  "-device fleet");
+    report.error("fleet.devices",
+                 "report carries " +
+                     std::to_string(fleet.device_reports.size()) +
+                     " device entries for a " +
+                     std::to_string(options.devices) + "-device fleet");
   }
   if (fleet.devices != options.devices || fleet.stages != options.shard_stages ||
       fleet.pipelines * fleet.stages != fleet.devices) {
-    add_error(report, "fleet.devices",
-              "fleet shape (" + std::to_string(fleet.devices) + " devices, " +
-                  std::to_string(fleet.pipelines) + " pipelines x " +
-                  std::to_string(fleet.stages) +
-                  " stages) does not match the configuration");
+    report.error("fleet.devices",
+                 "fleet shape (" + std::to_string(fleet.devices) +
+                     " devices, " + std::to_string(fleet.pipelines) +
+                     " pipelines x " +
+                     std::to_string(fleet.stages) +
+                     " stages) does not match the configuration");
   }
   const double end = static_cast<double>(totals.end_cycle);
   for (std::size_t i = 0; i < fleet.device_reports.size(); ++i) {
@@ -103,19 +87,19 @@ void check_fleet_report(const serve::FleetOptions& options,
     if (dev.device != static_cast<int>(i) ||
         dev.pipeline != dev.device / std::max(1, fleet.stages) ||
         dev.stage != dev.device % std::max(1, fleet.stages)) {
-      add_error(report, "fleet.devices",
-                "device entry " + std::to_string(i) +
-                    " has inconsistent device/pipeline/stage indices");
+      report.error("fleet.devices",
+                   "device entry " + std::to_string(i) +
+                       " has inconsistent device/pipeline/stage indices");
     }
     // +1 cycle: totals.end_cycle is an integer-truncated cast of the same
     // double timeline last_free/busy_cycles live on.
     const double bound = end * (1.0 + 1e-9) + 1.0;
     if (dev.busy_cycles > bound || dev.last_free > bound) {
-      add_error(report, "fleet.devices",
-                "device " + std::to_string(dev.device) +
-                    " reports more busy time than the run lasted (" +
-                    fmt("%.0f cycles busy, ", dev.busy_cycles) +
-                    fmt("run ended at %.0f)", end));
+      report.error("fleet.devices",
+                   "device " + std::to_string(dev.device) +
+                       " reports more busy time than the run lasted (" +
+                       fmt("%.0f cycles busy, ", dev.busy_cycles) +
+                       fmt("run ended at %.0f)", end));
     }
   }
 
@@ -132,10 +116,10 @@ void check_fleet_report(const serve::FleetOptions& options,
                                      std::uint64_t device_sum,
                                      std::uint64_t total) {
     if (device_sum != total) {
-      add_error(report, rule,
-                std::string("per-device ") + what + " sum to " +
-                    std::to_string(device_sum) + " but the fleet total is " +
-                    std::to_string(total));
+      report.error(rule,
+                   std::string("per-device ") + what + " sum to " +
+                       std::to_string(device_sum) + " but the fleet total is " +
+                       std::to_string(total));
     }
   };
   require_sum("fleet.requests", "routed arrivals", routed, totals.generated);
@@ -144,12 +128,12 @@ void check_fleet_report(const serve::FleetOptions& options,
   require_sum("fleet.requests", "sheds", shed, totals.shed);
   require_sum("fleet.requests", "blocked arrivals", blocked, totals.blocked);
   if (totals.completed + totals.dropped + totals.shed != totals.generated) {
-    add_error(report, "fleet.requests",
-              "request conservation broken: " +
-                  std::to_string(totals.completed) + " completed + " +
-                  std::to_string(totals.dropped) + " dropped + " +
-                  std::to_string(totals.shed) + " shed != " +
-                  std::to_string(totals.generated) + " generated");
+    report.error("fleet.requests",
+                 "request conservation broken: " +
+                     std::to_string(totals.completed) + " completed + " +
+                     std::to_string(totals.dropped) + " dropped + " +
+                     std::to_string(totals.shed) + " shed != " +
+                     std::to_string(totals.generated) + " generated");
   }
 
   // fleet.batches: dispatch and microbatch-stage execution decomposition.
@@ -162,10 +146,10 @@ void check_fleet_report(const serve::FleetOptions& options,
   require_sum("fleet.batches", "stage runs", stage_runs, fleet.stage_runs);
   if (fleet.stage_runs !=
       fleet.microbatches * static_cast<std::uint64_t>(fleet.stages)) {
-    add_error(report, "fleet.batches",
-              std::to_string(fleet.stage_runs) + " stage runs != " +
-                  std::to_string(fleet.microbatches) + " microbatches x " +
-                  std::to_string(fleet.stages) + " stages");
+    report.error("fleet.batches",
+                 std::to_string(fleet.stage_runs) + " stage runs != " +
+                     std::to_string(fleet.microbatches) + " microbatches x " +
+                     std::to_string(fleet.stages) + " stages");
   }
 
   // fleet.stages: the lifecycle decomposition of every completed request
@@ -178,7 +162,7 @@ void check_fleet_report(const serve::FleetOptions& options,
                   "lifecycle stages sum to %.6f cycles but measured "
                   "end-to-end latency sums to %.6f",
                   totals.stage_cycles_sum, totals.latency_cycles_sum);
-    add_error(report, "fleet.stages", buffer);
+    report.error("fleet.stages", buffer);
   }
 }
 

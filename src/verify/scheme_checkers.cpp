@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <optional>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include "crypto/modes.hpp"
@@ -328,15 +331,6 @@ void check_scheme_registry(std::span<const sim::SchemeInfo> entries,
                 "entry '" + name +
                     "' declares counter-line metadata iff it uses a counter "
                     "cache — model and contract disagree");
-    }
-    const sim::GpuConfig config = sim::GpuConfig::gtx480();
-    const int counter_bytes = info.model->counter_bytes_per_line(config);
-    if (has_counters ? counter_bytes <= 0 : counter_bytes != 0) {
-      add_error(report, "scheme.registry", name, 0, 0,
-                "entry '" + name + "' counter layout (" +
-                    std::to_string(counter_bytes) +
-                    " bytes/line) is inconsistent with its counter-cache "
-                    "use");
     }
     if (contract.pays_aes_occupancy ==
         (info.family == sim::EncryptionScheme::kNone)) {
@@ -693,68 +687,13 @@ int run_functional_audit(const AnalysisInput& input, Report& report,
   return transcribed;
 }
 
-const sim::SchemeInfo* functional_audit_scheme(Injection injection) {
-  switch (injection) {
-    case Injection::kAuditLeak:
-    case Injection::kAuditBoundary:
-    case Injection::kAuditOracle:
-      return sim::find_scheme("seal-d");
-    case Injection::kAuditCounter:
-      return sim::find_scheme("counter");
-    default:
-      return nullptr;
-  }
-}
-
-const std::vector<SchemeInjection>& all_scheme_injections() {
-  static const std::vector<SchemeInjection> kAll = {
-      SchemeInjection::kWire,     SchemeInjection::kBoundary,
-      SchemeInjection::kMetadata, SchemeInjection::kCoverage,
-      SchemeInjection::kTiming,   SchemeInjection::kRegistry,
-  };
-  return kAll;
-}
-
-const char* scheme_injection_name(SchemeInjection injection) {
-  switch (injection) {
-    case SchemeInjection::kWire: return "scheme-wire";
-    case SchemeInjection::kBoundary: return "scheme-boundary";
-    case SchemeInjection::kMetadata: return "scheme-metadata";
-    case SchemeInjection::kCoverage: return "scheme-coverage";
-    case SchemeInjection::kTiming: return "scheme-timing";
-    case SchemeInjection::kRegistry: return "scheme-registry";
-  }
-  return "?";
-}
-
-std::optional<SchemeInjection> scheme_injection_from_name(
-    const std::string& name) {
-  for (const SchemeInjection injection : all_scheme_injections()) {
-    if (name == scheme_injection_name(injection)) return injection;
-  }
-  return std::nullopt;
-}
-
-std::vector<std::string> scheme_injection_expected_rules(
-    SchemeInjection injection) {
-  switch (injection) {
-    case SchemeInjection::kWire: return {"scheme.wire"};
-    case SchemeInjection::kBoundary: return {"scheme.boundary"};
-    case SchemeInjection::kMetadata: return {"scheme.metadata"};
-    case SchemeInjection::kCoverage: return {"scheme.coverage"};
-    case SchemeInjection::kTiming: return {"scheme.timing"};
-    case SchemeInjection::kRegistry: return {"scheme.registry"};
-  }
-  return {};
-}
-
-Report run_scheme_injection(SchemeInjection injection,
+Report run_scheme_injection(Injection injection,
                             const sim::SchemeInfo& entry,
                             const SchemeRunEvidence& evidence) {
   Report report;
   const AnalysisInput& input = *evidence.input;
   switch (injection) {
-    case SchemeInjection::kWire: {
+    case Injection::kSchemeWire: {
       // Record plaintext bytes on the first line the contract requires to be
       // ciphertext; only copies are touched, never the run's real ledger.
       TaintLedger corrupted = *evidence.ledger;
@@ -775,7 +714,7 @@ Report run_scheme_injection(SchemeInjection injection,
       check_scheme_wire(entry, doctored, report);
       return report;
     }
-    case SchemeInjection::kBoundary: {
+    case Injection::kSchemeBoundary: {
       // Plaintext inside a protected weight row: find one under the scope.
       TaintLedger corrupted = *evidence.ledger;
       const sim::ProtectionScope scope = entry.model->contract().scope;
@@ -807,7 +746,7 @@ Report run_scheme_injection(SchemeInjection injection,
       check_scheme_boundary(entry, doctored, report);
       return report;
     }
-    case SchemeInjection::kMetadata: {
+    case Injection::kSchemeMetadata: {
       // One phantom counter line the bus probe never saw: breaks the
       // fills/writebacks/flushes decomposition for counter schemes, and the
       // zero-metadata clause for everything else.
@@ -817,14 +756,14 @@ Report run_scheme_injection(SchemeInjection injection,
       check_scheme_metadata(entry, doctored, report);
       return report;
     }
-    case SchemeInjection::kCoverage: {
+    case Injection::kSchemeCoverage: {
       // One claimed-encrypted byte no controller accounted for.
       SchemeRunEvidence doctored = evidence;
       doctored.stats.encrypted_bytes += 1;
       check_scheme_coverage(entry, doctored, report);
       return report;
     }
-    case SchemeInjection::kTiming: {
+    case Injection::kSchemeTiming: {
       // Falsify the declared serialization shape: claim passthrough for a
       // crypto scheme, claim serialized AES for baseline.
       sim::SchemeContract falsified = entry.model->contract();
@@ -835,7 +774,7 @@ Report run_scheme_injection(SchemeInjection injection,
       check_scheme_timing(entry, falsified, report);
       return report;
     }
-    case SchemeInjection::kRegistry: {
+    case Injection::kSchemeRegistry: {
       // Duplicate the first entry's CLI name onto the second in a copy of
       // the table.
       const auto real = sim::scheme_registry();
@@ -844,8 +783,11 @@ Report run_scheme_injection(SchemeInjection injection,
       check_scheme_registry(corrupted, report);
       return report;
     }
+    default:
+      throw std::invalid_argument(
+          std::string("not an --inject-scheme injection: ") +
+          injection_info(injection).name);
   }
-  return report;
 }
 
 }  // namespace sealdl::verify

@@ -60,7 +60,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -145,44 +144,14 @@ void check_scheme_metadata_ledger(const sim::SchemeInfo& entry,
 int run_functional_audit(const AnalysisInput& input, Report& report,
                          const sim::SchemeInfo* only = nullptr);
 
-/// The registry entry whose functional transcript demonstrably fires an
-/// audit-* injection, or nullptr for injections the static checkers catch
-/// on their own.
-[[nodiscard]] const sim::SchemeInfo* functional_audit_scheme(
-    Injection injection);
-
 // --- seeded violations (--inject-scheme) ------------------------------------
 
-enum class SchemeInjection {
-  kWire,      ///< record plaintext bytes on a must-cipher line
-  kBoundary,  ///< record plaintext bytes inside a protected weight row
-  kMetadata,  ///< perturb the controllers' counter-traffic accounting
-  kCoverage,  ///< claim one encrypted byte the controllers never saw
-  kTiming,    ///< falsify the contract's declared serialization shape
-  kRegistry,  ///< duplicate a CLI name in a copy of the registry table
-};
-
-/// All scheme injections, in declaration order.
-[[nodiscard]] const std::vector<SchemeInjection>& all_scheme_injections();
-
-/// CLI name of an injection, e.g. "scheme-wire".
-[[nodiscard]] const char* scheme_injection_name(SchemeInjection injection);
-
-/// Parses a CLI name; nullopt if unknown.
-[[nodiscard]] std::optional<SchemeInjection> scheme_injection_from_name(
-    const std::string& name);
-
-/// Rule ids this injection is guaranteed to fire (it may fire others too —
-/// plaintext inside a protected row breaks both the row boundary and the
-/// per-line wire policy).
-[[nodiscard]] std::vector<std::string> scheme_injection_expected_rules(
-    SchemeInjection injection);
-
-/// Applies `injection` to copies of the entry/evidence and runs the
-/// targeted checker(s); the returned report must contain the expected rules.
-/// kWire/kBoundary need a scheme whose wire policy has a must-cipher side
-/// (any entry except baseline).
-[[nodiscard]] Report run_scheme_injection(SchemeInjection injection,
+/// Applies an --inject-scheme `injection` to copies of the entry/evidence
+/// and runs the targeted checker(s); the returned report must contain the
+/// rules its table row fires. kSchemeWire/kSchemeBoundary need a scheme
+/// whose wire policy has a must-cipher side (any entry except baseline).
+/// Throws std::invalid_argument for an injection of another flag.
+[[nodiscard]] Report run_scheme_injection(Injection injection,
                                           const sim::SchemeInfo& entry,
                                           const SchemeRunEvidence& evidence);
 

@@ -115,16 +115,23 @@ TEST(SchemeTiming, FalsifiedShapeFiresForEveryEntry) {
   }
 }
 
-// Seculator packs 8x more counters per cache line than the paper's Counter
-// mode, so a strided sweep that thrashes Counter's cache still hits.
-TEST(SchemeTiming, SeculatorPacksMoreCountersPerLine) {
+// Split-Counter packs 8x more counters per cache line than the paper's
+// Counter mode: its row turns on GpuConfig::split_counters, which is what the
+// controller's counter-line layout reads.
+TEST(SchemeTiming, SplitCounterPacksMoreCountersPerLine) {
   const sim::SchemeInfo* counter = sim::find_scheme("counter");
-  const sim::SchemeInfo* seculator = sim::find_scheme("seculator");
+  const sim::SchemeInfo* split = sim::find_scheme("split-counter");
   ASSERT_NE(counter, nullptr);
-  ASSERT_NE(seculator, nullptr);
-  const sim::GpuConfig config = sim::GpuConfig::gtx480();
-  EXPECT_EQ(seculator->model->counter_bytes_per_line(config), 1);
-  EXPECT_GT(counter->model->counter_bytes_per_line(config), 1);
+  ASSERT_NE(split, nullptr);
+  EXPECT_EQ(split->model, counter->model);
+  sim::GpuConfig config = sim::GpuConfig::gtx480();
+  sim::apply_scheme(*split, config);
+  EXPECT_TRUE(config.split_counters);
+  EXPECT_EQ(config.effective_counter_bytes(), 1);
+  EXPECT_EQ(config.counters_per_line(), 128);
+  sim::apply_scheme(*counter, config);
+  EXPECT_FALSE(config.split_counters);
+  EXPECT_GT(config.effective_counter_bytes(), 1);
 }
 
 // --------------------------------------------------- run-level conformance ---
@@ -166,14 +173,13 @@ TEST(SchemeConformance, SealCRunIsCleanAndAllInjectionsFire) {
   const verify::Report clean =
       verify::run_scheme_conformance(*info, run.evidence);
   EXPECT_EQ(clean.error_count(), 0u) << clean.to_text();
-  for (const verify::SchemeInjection injection :
-       verify::all_scheme_injections()) {
+  for (const verify::Injection injection : verify::select_injections(
+           verify::InjectFlag::kInjectScheme, "all")) {
     const verify::Report seeded =
         verify::run_scheme_injection(injection, *info, run.evidence);
-    for (const std::string& rule :
-         verify::scheme_injection_expected_rules(injection)) {
-      EXPECT_TRUE(seeded.fired(rule))
-          << verify::scheme_injection_name(injection) << " -> " << rule;
+    const verify::InjectionInfo& row = verify::injection_info(injection);
+    for (const std::string& rule : row.fires) {
+      EXPECT_TRUE(seeded.fired(rule)) << row.name << " -> " << rule;
     }
   }
 }
@@ -189,19 +195,8 @@ TEST(SchemeConformance, GuardNNWeightsScopeCleanAndCatchesBoundary) {
       verify::run_scheme_conformance(*info, run.evidence);
   EXPECT_EQ(clean.error_count(), 0u) << clean.to_text();
   const verify::Report seeded = verify::run_scheme_injection(
-      verify::SchemeInjection::kBoundary, *info, run.evidence);
+      verify::Injection::kSchemeBoundary, *info, run.evidence);
   EXPECT_TRUE(seeded.fired("scheme.boundary"));
-}
-
-TEST(SchemeConformance, InjectionNamesRoundTrip) {
-  for (const verify::SchemeInjection injection :
-       verify::all_scheme_injections()) {
-    const auto parsed = verify::scheme_injection_from_name(
-        verify::scheme_injection_name(injection));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, injection);
-  }
-  EXPECT_FALSE(verify::scheme_injection_from_name("scheme-bogus").has_value());
 }
 
 // ------------------------------------------------- counter-cache edges ------

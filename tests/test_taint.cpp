@@ -146,18 +146,18 @@ TEST(FunctionalAudit, EveryAuditInjectionFires) {
   for (const Injection injection :
        {Injection::kAuditLeak, Injection::kAuditBoundary,
         Injection::kAuditCounter, Injection::kAuditOracle}) {
-    const sim::SchemeInfo* scheme = functional_audit_scheme(injection);
-    ASSERT_NE(scheme, nullptr) << injection_name(injection);
+    const InjectionInfo& info = injection_info(injection);
+    ASSERT_NE(info.audit_scheme, nullptr) << info.name;
     const AnalysisInput input = small_input(injection);
     Report report;
-    run_functional_audit(input, report, scheme);
-    for (const std::string& rule : expected_rules(injection)) {
+    run_functional_audit(input, report, &sim::parse_scheme(info.audit_scheme));
+    for (const std::string& rule : info.fires) {
       EXPECT_TRUE(report.fired(rule))
-          << injection_name(injection) << " did not fire " << rule << "\n"
+          << info.name << " did not fire " << rule << "\n"
           << report.to_text();
     }
   }
-  EXPECT_EQ(functional_audit_scheme(Injection::kPlanShape), nullptr);
+  EXPECT_EQ(injection_info(Injection::kPlanShape).audit_scheme, nullptr);
 }
 
 TEST(FunctionalAudit, UnobservedRowBreaksFullCoverage) {

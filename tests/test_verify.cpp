@@ -3,6 +3,9 @@
 // channel propagation) must be caught at both the plan and the trace level.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -10,8 +13,11 @@
 #include "verify/analysis.hpp"
 #include "verify/checker.hpp"
 #include "verify/diagnostics.hpp"
+#include "verify/fleet_checkers.hpp"
 #include "verify/inject.hpp"
+#include "verify/profile_checkers.hpp"
 #include "verify/scheme_checkers.hpp"
+#include "verify/serve_checkers.hpp"
 
 namespace sealdl::verify {
 namespace {
@@ -73,7 +79,9 @@ TEST(VerifyClean, SeedConvToFcSeamIsWarningNotError) {
 TEST(VerifyInject, EveryRuleFires) {
   // ResNet-18 has the residual topology, so every injection is applicable.
   const auto specs = models::resnet18_specs(kInputHw);
-  for (const Injection injection : all_injections()) {
+  for (const Injection injection :
+       select_injections(InjectFlag::kInject, "all")) {
+    const InjectionInfo& info = injection_info(injection);
     BuildOptions options;
     options.inject = injection;
     const AnalysisInput input = build_input(specs, options);
@@ -81,12 +89,12 @@ TEST(VerifyInject, EveryRuleFires) {
     // The scheme.* rules consume a bus ledger, not the AnalysisInput alone:
     // route audit-* injections through the functional taint audit, over the
     // one scheme each injection targets (same path sealdl-check takes).
-    if (const sim::SchemeInfo* scheme = functional_audit_scheme(injection)) {
-      run_functional_audit(input, report, scheme);
+    if (info.audit_scheme != nullptr) {
+      run_functional_audit(input, report, &sim::parse_scheme(info.audit_scheme));
     }
-    for (const std::string& rule : expected_rules(injection)) {
+    for (const std::string& rule : info.fires) {
       EXPECT_TRUE(report.fired(rule))
-          << injection_name(injection) << " did not fire " << rule << "\n"
+          << info.name << " did not fire " << rule << "\n"
           << report.to_text();
     }
   }
@@ -95,7 +103,8 @@ TEST(VerifyInject, EveryRuleFires) {
 TEST(VerifyInject, ResidualRequiresTopology) {
   BuildOptions options;
   options.inject = Injection::kPlanResidual;
-  EXPECT_TRUE(requires_residual_topology(Injection::kPlanResidual));
+  EXPECT_EQ(injection_info(Injection::kPlanResidual).needs,
+            Needs::kResidualTopology);
   // VGG has no identity blocks: the injection cannot be staged.
   EXPECT_THROW(build_input(models::vgg16_specs(kInputHw), options),
                std::invalid_argument);
@@ -190,14 +199,127 @@ TEST(VerifyReport, TextAndJsonRenderings) {
   EXPECT_NE(json.str().find("\"errors\""), std::string::npos);
 }
 
-TEST(VerifyReport, InjectionNamesRoundTrip) {
-  for (const Injection injection : all_injections()) {
-    const auto parsed = injection_from_name(injection_name(injection));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, injection);
-    EXPECT_FALSE(expected_rules(injection).empty());
+// ------------------------------------------------------ injection table ---
+
+// Every rule id any entry point can emit: the union --list-rules prints.
+std::set<std::string> catalog_rules() {
+  std::set<std::string> rules;
+  for (const auto& checker : default_checkers()) {
+    for (const std::string& rule : checker->rules()) rules.insert(rule);
   }
-  EXPECT_FALSE(injection_from_name("no-such-injection").has_value());
+  for (const auto& family : {serve_option_rules(), fleet_rules(),
+                             profile_rules(), scheme_rules()}) {
+    rules.insert(family.begin(), family.end());
+  }
+  return rules;
+}
+
+TEST(InjectionTable, NamesRoundTripPerFlagAndFireCatalogRules) {
+  const std::set<std::string> rules = catalog_rules();
+  std::map<InjectFlag, int> per_flag;
+  for (const InjectionInfo& row : injection_table()) {
+    ++per_flag[row.flag];
+    const auto parsed = select_injections(row.flag, row.name);
+    ASSERT_EQ(parsed.size(), 1u) << row.name;
+    EXPECT_EQ(parsed.front(), row.id) << row.name;
+    EXPECT_EQ(&injection_info(row.id), &row);
+    EXPECT_FALSE(row.fires.empty()) << row.name;
+    for (const std::string& rule : row.fires) {
+      EXPECT_TRUE(rules.count(rule)) << row.name << " fires unknown " << rule;
+    }
+  }
+  EXPECT_EQ(per_flag[InjectFlag::kInject], 19);
+  EXPECT_EQ(per_flag[InjectFlag::kInjectScheme], 6);
+  EXPECT_EQ(per_flag[InjectFlag::kInjectProfile], 2);
+  EXPECT_EQ(per_flag[InjectFlag::kInjectFleet], 4);
+  for (const auto& [flag, count] : per_flag) {
+    EXPECT_THROW((void)select_injections(flag, "no-such-injection"),
+                 std::invalid_argument);
+    // A name is only accepted by the flag whose row it is.
+    EXPECT_THROW((void)select_injections(
+                     flag, flag == InjectFlag::kInject ? "scheme-wire"
+                                                       : "plan-shape"),
+                 std::invalid_argument);
+    const bool suite =
+        flag == InjectFlag::kInject || flag == InjectFlag::kInjectScheme;
+    if (suite) {
+      EXPECT_EQ(select_injections(flag, "all").size(),
+                static_cast<std::size_t>(count));
+    } else {
+      EXPECT_THROW((void)select_injections(flag, "all"), std::invalid_argument);
+    }
+  }
+}
+
+// The ledger stages what applies, skips what does not (never staging it),
+// and accounts for every selected injection exactly once.
+TEST(SelfTestLedger, CountsCaughtMissedAndSkipped) {
+  SelfTest ledger({.tool = "sealdl-check",
+                   .mode = "inject-all",
+                   .workload = "vgg16",
+                   .residual_topology = false});
+  std::vector<Injection> staged;
+  const bool all_caught = ledger.run(
+      {Injection::kPlanShape, Injection::kPlanResidual, Injection::kPlanRatio},
+      [&](Injection injection) {
+        staged.push_back(injection);
+        Report report;
+        // plan-shape fires its rule; plan-ratio fires an unrelated one.
+        report.error(injection == Injection::kPlanShape ? "plan.shape"
+                                                        : "plan.boundary",
+                     "seeded");
+        return report;
+      });
+  EXPECT_FALSE(all_caught);
+  EXPECT_EQ(staged,
+            (std::vector<Injection>{Injection::kPlanShape, Injection::kPlanRatio}));
+  EXPECT_EQ(ledger.total(), 3u);
+  EXPECT_EQ(ledger.exercised(), 2u);
+  EXPECT_EQ(ledger.skipped(), 1u);
+  EXPECT_EQ(ledger.missed(), 1u);
+
+  const std::string json = ledger.to_json();
+  for (const char* field :
+       {"\"tool\":\"sealdl-check\"", "\"schema_version\":1",
+        "\"mode\":\"inject-all\"", "\"workload\":\"vgg16\"", "\"total\":3",
+        "\"exercised\":2", "\"skipped\":1", "\"missed\":1",
+        "{\"name\":\"plan-shape\",\"status\":\"caught\",\"errors\":1,"
+        "\"warnings\":0}",
+        "{\"name\":\"plan-residual\",\"status\":\"skipped\",\"reason\":"
+        "\"no residual topology in vgg16\"}",
+        "{\"name\":\"plan-ratio\",\"status\":\"missed\""}) {
+    EXPECT_NE(json.find(field), std::string::npos) << field << "\n" << json;
+  }
+  EXPECT_EQ(json.find("\"scheme\""), std::string::npos);
+}
+
+TEST(SelfTestLedger, MustCipherRowsSkipUnderScopeNone) {
+  SelfTest ledger({.tool = "sealdl-sim",
+                   .mode = "inject-scheme",
+                   .workload = "resnet18",
+                   .scheme = "baseline",
+                   .scope = sim::ProtectionScope::kNone});
+  int staged = 0;
+  const bool all_caught = ledger.run(
+      select_injections(InjectFlag::kInjectScheme, "all"),
+      [&](Injection injection) {
+        ++staged;
+        Report report;
+        for (const std::string& rule : injection_info(injection).fires) {
+          report.error(rule, "seeded");
+        }
+        return report;
+      });
+  EXPECT_TRUE(all_caught);
+  EXPECT_EQ(staged, 4);
+  EXPECT_EQ(ledger.skipped(), 2u);
+  EXPECT_EQ(ledger.exercised() + ledger.skipped(), ledger.total());
+  const std::string json = ledger.to_json();
+  EXPECT_NE(json.find("\"scheme\":\"baseline\""), std::string::npos) << json;
+  EXPECT_NE(json.find("{\"name\":\"scheme-wire\",\"status\":\"skipped\","
+                      "\"reason\":\"no must-cipher lines under scope none\"}"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

@@ -58,14 +58,6 @@ struct CatalogRule {
   std::string validator;
 };
 
-/// One catalog injection: the seeded violation's CLI name, the flag (and
-/// binary) that runs it, and the rules it is guaranteed to fire.
-struct CatalogInjection {
-  std::string name;
-  std::string flag;
-  std::vector<std::string> fires;
-};
-
 /// The complete rule catalog, the single index docs/ANALYSIS.md and the
 /// drift gate (tools/check_rule_catalog.cmake) are held against.
 std::vector<CatalogRule> rule_catalog() {
@@ -94,34 +86,21 @@ std::vector<CatalogRule> rule_catalog() {
   return catalog;
 }
 
-std::vector<CatalogInjection> injection_catalog() {
-  std::vector<CatalogInjection> catalog;
-  for (const verify::Injection injection : verify::all_injections()) {
-    catalog.push_back({verify::injection_name(injection), "--inject",
-                       verify::expected_rules(injection)});
-  }
-  for (const verify::SchemeInjection injection :
-       verify::all_scheme_injections()) {
-    catalog.push_back({verify::scheme_injection_name(injection),
-                       "sealdl-sim --inject-scheme",
-                       verify::scheme_injection_expected_rules(injection)});
-  }
-  return catalog;
-}
-
 void list_rules() {
   for (const CatalogRule& rule : rule_catalog()) {
     std::printf("%-16s (%s)\n", rule.id.c_str(), rule.validator.c_str());
   }
-  std::printf("\ninjections (--inject <name>|all; scheme-* via "
-              "sealdl-sim --inject-scheme):\n");
-  for (const CatalogInjection& injection : injection_catalog()) {
+  std::printf("\ninjections (flag <name>; --inject and --inject-scheme also "
+              "take all):\n");
+  for (const verify::InjectionInfo& injection : verify::injection_table()) {
     std::string rules;
     for (const std::string& rule : injection.fires) {
       if (!rules.empty()) rules += ", ";
       rules += rule;
     }
-    std::printf("%-18s fires: %s\n", injection.name.c_str(), rules.c_str());
+    std::printf("%-28s %-18s fires: %s\n",
+                verify::inject_flag_usage(injection.flag), injection.name,
+                rules.c_str());
   }
 }
 
@@ -144,10 +123,10 @@ void write_json_catalog(const std::string& path) {
   json.end_array();
   json.key("injections");
   json.begin_array();
-  for (const CatalogInjection& injection : injection_catalog()) {
+  for (const verify::InjectionInfo& injection : verify::injection_table()) {
     json.begin_object();
     json.field("name", injection.name);
-    json.field("flag", injection.flag);
+    json.field("flag", verify::inject_flag_usage(injection.flag));
     json.key("fires");
     json.begin_array();
     for (const std::string& rule : injection.fires) json.value(rule);
@@ -170,100 +149,8 @@ void write_json_report(const std::string& path, const std::string& workload,
   json.field("selective", options.selective);
   json.field("encryption_ratio", options.plan.encryption_ratio);
   json.field("scheme_audit", scheme_audit);
-  if (options.inject != verify::Injection::kNone) {
-    json.field("inject", verify::injection_name(options.inject));
-  }
   json.key("report");
   report.write_json(json);
-  json.end_object();
-  telemetry::write_text_file(path, json.str());
-}
-
-/// Per-injection outcome for the --inject all ledger (text + JSON).
-struct InjectOutcome {
-  std::string name;
-  std::string status;  ///< "caught", "missed" or "skipped"
-  std::string reason;  ///< only for "skipped"
-  std::uint64_t errors = 0;
-  std::uint64_t warnings = 0;
-};
-
-/// Runs one injection and verifies its expected rules all fired. audit-*
-/// injections additionally run the functional audit over the scheme they
-/// target, since the scheme.* rules consume a bus ledger, not the
-/// AnalysisInput alone.
-bool run_injection(const std::vector<models::LayerSpec>& specs,
-                   verify::BuildOptions options, verify::Injection injection,
-                   const verify::TraceCheckOptions& trace_options,
-                   InjectOutcome* outcome = nullptr) {
-  options.inject = injection;
-  const verify::AnalysisInput input = verify::build_input(specs, options);
-  verify::Report report =
-      verify::run_checkers(input, verify::default_checkers(trace_options));
-  if (const sim::SchemeInfo* scheme = verify::functional_audit_scheme(injection)) {
-    verify::run_functional_audit(input, report, scheme);
-  }
-  bool caught = true;
-  for (const std::string& rule : verify::expected_rules(injection)) {
-    if (!report.fired(rule)) {
-      std::printf("MISSED  %-18s rule %s did not fire\n",
-                  verify::injection_name(injection), rule.c_str());
-      caught = false;
-    }
-  }
-  if (caught) {
-    std::printf("caught  %-18s (%llu errors, %llu warnings)\n",
-                verify::injection_name(injection),
-                static_cast<unsigned long long>(report.error_count()),
-                static_cast<unsigned long long>(report.warning_count()));
-  }
-  if (outcome) {
-    outcome->name = verify::injection_name(injection);
-    outcome->status = caught ? "caught" : "missed";
-    outcome->errors = report.error_count();
-    outcome->warnings = report.warning_count();
-  }
-  return caught;
-}
-
-/// Machine-readable ledger for --inject all --json: one entry per injection
-/// with its status, plus totals CI can assert (exercised + skipped == total).
-void write_json_inject_report(const std::string& path,
-                              const std::string& workload,
-                              const std::vector<InjectOutcome>& outcomes) {
-  std::uint64_t exercised = 0, skipped = 0, missed = 0;
-  for (const InjectOutcome& o : outcomes) {
-    if (o.status == "skipped") {
-      ++skipped;
-    } else {
-      ++exercised;
-      if (o.status == "missed") ++missed;
-    }
-  }
-  util::JsonWriter json;
-  json.begin_object();
-  json.field("tool", "sealdl-check");
-  json.field("schema_version", 1);
-  json.field("mode", "inject-all");
-  json.field("workload", workload);
-  json.field("total", static_cast<std::uint64_t>(outcomes.size()));
-  json.field("exercised", exercised);
-  json.field("skipped", skipped);
-  json.field("missed", missed);
-  json.key("injections");
-  json.begin_array();
-  for (const InjectOutcome& o : outcomes) {
-    json.begin_object();
-    json.field("name", o.name);
-    json.field("status", o.status);
-    if (!o.reason.empty()) json.field("reason", o.reason);
-    if (o.status != "skipped") {
-      json.field("errors", o.errors);
-      json.field("warnings", o.warnings);
-    }
-    json.end_object();
-  }
-  json.end_array();
   json.end_object();
   telemetry::write_text_file(path, json.str());
 }
@@ -309,54 +196,37 @@ int main(int argc, char** argv) {
     const std::vector<models::LayerSpec> specs =
         parse_workload(workload, input_hw);
 
-    if (inject_name == "all") {
-      const bool has_residuals =
-          !verify::residual_edges_from_names(specs).empty();
-      bool all_caught = true;
-      int run = 0;
-      int skipped = 0;
-      std::vector<InjectOutcome> outcomes;
-      for (const verify::Injection injection : verify::all_injections()) {
-        InjectOutcome outcome;
-        if (verify::requires_residual_topology(injection) && !has_residuals) {
-          std::printf("skip    %-18s (no residual topology in %s)\n",
-                      verify::injection_name(injection), workload.c_str());
-          outcome.name = verify::injection_name(injection);
-          outcome.status = "skipped";
-          outcome.reason = "no residual topology in " + workload;
-          outcomes.push_back(std::move(outcome));
-          ++skipped;
-          continue;
-        }
-        all_caught &=
-            run_injection(specs, options, injection, trace_options, &outcome);
-        outcomes.push_back(std::move(outcome));
-        ++run;
-      }
-      const int total = static_cast<int>(verify::all_injections().size());
-      if (run + skipped != total) {
-        std::fprintf(stderr,
-                     "sealdl-check: injection accounting broken: "
-                     "%d exercised + %d skipped != %d total\n",
-                     run, skipped, total);
-        return 1;
-      }
-      std::printf("%s: %d injections exercised, %d skipped, %d total, %s\n",
-                  workload.c_str(), run, skipped, total,
-                  all_caught ? "all caught" : "SOME MISSED");
+    if (!inject_name.empty()) {
+      // Self-test: stage each selected injection and demand its rules fire.
+      // audit-* rows also transcribe the scheme they corrupt, since the
+      // scheme.* rules consume a bus ledger, not the AnalysisInput alone.
+      const auto selected =
+          verify::select_injections(verify::InjectFlag::kInject, inject_name);
+      verify::SelfTest self_test(
+          {.tool = "sealdl-check",
+           .mode = "inject-all",
+           .workload = workload,
+           .residual_topology =
+               !verify::residual_edges_from_names(specs).empty()});
+      const bool all_caught =
+          self_test.run(selected, [&](verify::Injection injection) {
+            verify::BuildOptions staged = options;
+            staged.inject = injection;
+            const verify::AnalysisInput input =
+                verify::build_input(specs, staged);
+            verify::Report report = verify::run_checkers(
+                input, verify::default_checkers(trace_options));
+            if (const char* scheme =
+                    verify::injection_info(injection).audit_scheme) {
+              verify::run_functional_audit(input, report,
+                                           &sim::parse_scheme(scheme));
+            }
+            return report;
+          });
       if (!json_path.empty()) {
-        write_json_inject_report(json_path, workload, outcomes);
+        telemetry::write_text_file(json_path, self_test.to_json());
       }
       return all_caught ? 0 : 1;
-    }
-
-    if (!inject_name.empty()) {
-      const auto injection = verify::injection_from_name(inject_name);
-      if (!injection) {
-        std::fprintf(stderr, "unknown --inject %s\n", inject_name.c_str());
-        return 2;
-      }
-      return run_injection(specs, options, *injection, trace_options) ? 0 : 1;
     }
 
     const verify::AnalysisInput input = verify::build_input(specs, options);

@@ -112,11 +112,10 @@ int run(int argc, char** argv) {
   fleet_options.link_bytes_per_cycle = flags.get_double("link-bpc", 16.0);
 
   const std::string inject_fleet = flags.get("inject-fleet", "");
-  if (!inject_fleet.empty() && inject_fleet != "requests" &&
-      inject_fleet != "batches" && inject_fleet != "stages" &&
-      inject_fleet != "devices") {
-    throw std::invalid_argument("unknown --inject-fleet " + inject_fleet +
-                                " (requests|batches|stages|devices)");
+  std::vector<verify::Injection> fleet_injections;
+  if (!inject_fleet.empty()) {
+    fleet_injections = verify::select_injections(
+        verify::InjectFlag::kInjectFleet, inject_fleet);
   }
 
   // Static config validation: collect every violation (including an
@@ -126,19 +125,13 @@ int run(int argc, char** argv) {
   try {
     serve_options.policy = serve::parse_policy(flags.get("policy", "drop"));
   } catch (const std::invalid_argument& e) {
-    verify::Diagnostic diagnostic;
-    diagnostic.rule = "serve.options.policy";
-    diagnostic.message = e.what();
-    options_report.add(std::move(diagnostic));
+    options_report.error("serve.options.policy", e.what());
   }
   try {
     fleet_options.router =
         serve::parse_router(flags.get("router", "round-robin"));
   } catch (const std::invalid_argument& e) {
-    verify::Diagnostic diagnostic;
-    diagnostic.rule = "fleet.options.router";
-    diagnostic.message = e.what();
-    options_report.add(std::move(diagnostic));
+    options_report.error("fleet.options.router", e.what());
   }
   verify::check_serve_options(serve_options, jobs, options_report);
   verify::check_fleet_options(fleet_options, options_report);
@@ -245,34 +238,34 @@ int run(int argc, char** argv) {
       model, serve_options, fleet_options, config, collect.get(), live_sink);
   const serve::ServeReport& report = fleet_report.totals;
 
-  if (!inject_fleet.empty()) {
-    // Self-test: corrupt one field of a healthy fleet report, then demand
-    // the matching fleet.* rule fires (same discipline as sealdl-sim
-    // --inject-profile and sealdl-check --inject).
-    serve::FleetReport corrupted = fleet_report;
-    const char* rule = nullptr;
-    if (inject_fleet == "requests") {
-      corrupted.device_reports.front().completed += 1;
-      rule = "fleet.requests";
-    } else if (inject_fleet == "batches") {
-      corrupted.device_reports.front().batches += 1;
-      rule = "fleet.batches";
-    } else if (inject_fleet == "stages") {
-      corrupted.totals.stage_cycles_sum =
-          corrupted.totals.stage_cycles_sum * 1.01 + 1.0;
-      rule = "fleet.stages";
-    } else {
-      corrupted.device_reports.front().device += 1;
-      rule = "fleet.devices";
-    }
-    const verify::Report check =
-        verify::run_fleet_report_check(fleet_options, corrupted);
-    if (check.fired(rule)) {
-      std::printf("injected fleet violation caught (%s)\n", rule);
-      return 0;
-    }
-    std::fprintf(stderr, "MISSED injected fleet violation (%s)\n", rule);
-    return 1;
+  if (!fleet_injections.empty()) {
+    // Self-test: corrupt one field of a copy of a healthy fleet report, then
+    // demand the matching fleet.* rule fires.
+    verify::SelfTest self_test({.tool = "sealdl-serve",
+                                .mode = "inject-fleet",
+                                .workload = networks_csv});
+    const bool all_caught = self_test.run(
+        fleet_injections, [&](verify::Injection injection) {
+          serve::FleetReport corrupted = fleet_report;
+          serve::DeviceReport& device = corrupted.device_reports.front();
+          switch (injection) {
+            case verify::Injection::kFleetRequests:
+              device.completed += 1;
+              break;
+            case verify::Injection::kFleetBatches:
+              device.batches += 1;
+              break;
+            case verify::Injection::kFleetStages:
+              corrupted.totals.stage_cycles_sum =
+                  corrupted.totals.stage_cycles_sum * 1.01 + 1.0;
+              break;
+            default:  // kFleetDevices
+              device.device += 1;
+              break;
+          }
+          return verify::run_fleet_report_check(fleet_options, corrupted);
+        });
+    return all_caught ? 0 : 1;
   }
 
   // Post-run reconciliation: fleet.* proves the per-device decomposition

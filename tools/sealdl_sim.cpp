@@ -10,8 +10,9 @@
 //   sealdl-sim --workload pool --in-ch 64 --hw 224 --scheme seal-c --split-counters
 //
 // Schemes come from the shared registry (sim/scheme_registry.hpp): the five
-// paper schemes baseline | direct | counter | seal-d | seal-c plus the rival
-// models seculator | guardnn. --scheme accepts any registered CLI name.
+// paper schemes baseline | direct | counter | seal-d | seal-c plus
+// split-counter (Counter with split counters) and the GuardNN rival. --scheme
+// accepts any registered CLI name.
 //
 // Execution shape:
 //   --jobs N         parallel per-layer simulation workers (>= 1)
@@ -160,7 +161,8 @@ int run(int argc, char** argv) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
   sim::apply_scheme(entry, config);
   config.counter_cache_kb = static_cast<int>(flags.get_int("counter-cache-kb", 96));
-  config.split_counters = flags.get_bool("split-counters", false);
+  // The split-counter scheme sets the bit itself; the flag can only add it.
+  if (flags.get_bool("split-counters", false)) config.split_counters = true;
   config.engines_per_controller = static_cast<int>(flags.get_int("engines", 1));
   config.engine.throughput_gbps =
       flags.get_double("engine-gbps", config.engine.throughput_gbps);
@@ -176,10 +178,10 @@ int run(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("max-samples", 0));
   const std::string folded_path = flags.get("profile-folded", "");
   const std::string inject_profile = flags.get("inject-profile", "");
-  if (!inject_profile.empty() && inject_profile != "conservation" &&
-      inject_profile != "total") {
-    throw std::invalid_argument("unknown --inject-profile " + inject_profile +
-                                " (conservation|total)");
+  std::vector<verify::Injection> profile_injections;
+  if (!inject_profile.empty()) {
+    profile_injections = verify::select_injections(
+        verify::InjectFlag::kInjectProfile, inject_profile);
   }
   const bool profile = flags.get_bool("profile", false) ||
                        !folded_path.empty() || !inject_profile.empty();
@@ -189,16 +191,10 @@ int run(int argc, char** argv) {
   const bool scheme_audit =
       flags.get_bool("scheme-audit", false) || !scheme_audit_json.empty() ||
       !inject_scheme.empty() || !inject_scheme_json.empty();
-  if (!inject_scheme.empty() && inject_scheme != "all" &&
-      !verify::scheme_injection_from_name(inject_scheme)) {
-    std::string names = "all";
-    for (const verify::SchemeInjection injection :
-         verify::all_scheme_injections()) {
-      names += '|';
-      names += verify::scheme_injection_name(injection);
-    }
-    throw std::invalid_argument("unknown --inject-scheme " + inject_scheme +
-                                " (" + names + ")");
+  std::vector<verify::Injection> scheme_injections;
+  if (!inject_scheme.empty()) {
+    scheme_injections = verify::select_injections(
+        verify::InjectFlag::kInjectScheme, inject_scheme);
   }
   if (scheme_audit && workload != "vgg16" && workload != "resnet18" &&
       workload != "resnet34") {
@@ -375,107 +371,20 @@ int run(int argc, char** argv) {
       }
       std::printf("scheme audit: %s conforms to its contract (scope %s)\n",
                   entry.display, sim::protection_scope_name(entry.scope));
-      if (!inject_scheme.empty()) {
+      if (!scheme_injections.empty()) {
         // Self-test over the clean evidence: seed each requested violation
-        // and demand the matching scheme.* rule fires, with the same
-        // exercised + skipped == total accounting the --inject ledger uses.
-        struct Outcome {
-          std::string name;
-          std::string status;  ///< "caught", "missed" or "skipped"
-          std::string reason;
-          std::uint64_t errors = 0;
-          std::uint64_t warnings = 0;
-        };
-        std::vector<verify::SchemeInjection> selected;
-        if (inject_scheme == "all") {
-          selected = verify::all_scheme_injections();
-        } else {
-          selected = {*verify::scheme_injection_from_name(inject_scheme)};
-        }
-        std::vector<Outcome> outcomes;
-        bool all_caught = true;
-        for (const verify::SchemeInjection injection : selected) {
-          Outcome outcome;
-          outcome.name = verify::scheme_injection_name(injection);
-          const bool needs_cipher =
-              injection == verify::SchemeInjection::kWire ||
-              injection == verify::SchemeInjection::kBoundary;
-          if (needs_cipher && entry.scope == sim::ProtectionScope::kNone) {
-            // Baseline's wire policy has no must-cipher side, so there is no
-            // line whose corruption these rules could object to.
-            outcome.status = "skipped";
-            outcome.reason = "no must-cipher lines under scope none";
-            std::printf("skip    %-18s (%s)\n", outcome.name.c_str(),
-                        outcome.reason.c_str());
-            outcomes.push_back(std::move(outcome));
-            continue;
-          }
-          const verify::Report report =
-              verify::run_scheme_injection(injection, entry, evidence);
-          bool caught = true;
-          for (const std::string& rule :
-               verify::scheme_injection_expected_rules(injection)) {
-            if (!report.fired(rule)) {
-              std::printf("MISSED  %-18s rule %s did not fire\n",
-                          outcome.name.c_str(), rule.c_str());
-              caught = false;
-            }
-          }
-          if (caught) {
-            std::printf("caught  %-18s (%llu errors, %llu warnings)\n",
-                        outcome.name.c_str(),
-                        static_cast<unsigned long long>(report.error_count()),
-                        static_cast<unsigned long long>(report.warning_count()));
-          }
-          outcome.status = caught ? "caught" : "missed";
-          outcome.errors = report.error_count();
-          outcome.warnings = report.warning_count();
-          outcomes.push_back(std::move(outcome));
-          all_caught &= caught;
-        }
-        std::uint64_t exercised = 0, skipped = 0, missed = 0;
-        for (const Outcome& outcome : outcomes) {
-          if (outcome.status == "skipped") {
-            ++skipped;
-          } else {
-            ++exercised;
-            if (outcome.status == "missed") ++missed;
-          }
-        }
-        std::printf("%s/%s: %llu scheme injections exercised, %llu skipped, "
-                    "%zu total, %s\n",
-                    workload.c_str(), entry.cli_name,
-                    static_cast<unsigned long long>(exercised),
-                    static_cast<unsigned long long>(skipped), outcomes.size(),
-                    all_caught ? "all caught" : "SOME MISSED");
+        // and demand the matching scheme.* rule fires.
+        verify::SelfTest self_test({.tool = "sealdl-sim",
+                                    .mode = "inject-scheme",
+                                    .workload = workload,
+                                    .scheme = entry.cli_name,
+                                    .scope = entry.scope});
+        const bool all_caught =
+            self_test.run(scheme_injections, [&](verify::Injection injection) {
+              return verify::run_scheme_injection(injection, entry, evidence);
+            });
         if (!inject_scheme_json.empty()) {
-          util::JsonWriter json;
-          json.begin_object();
-          json.field("tool", "sealdl-sim");
-          json.field("schema_version", 1);
-          json.field("mode", "inject-scheme");
-          json.field("workload", workload);
-          json.field("scheme", entry.cli_name);
-          json.field("total", static_cast<std::uint64_t>(outcomes.size()));
-          json.field("exercised", exercised);
-          json.field("skipped", skipped);
-          json.field("missed", missed);
-          json.key("injections");
-          json.begin_array();
-          for (const Outcome& outcome : outcomes) {
-            json.begin_object();
-            json.field("name", outcome.name);
-            json.field("status", outcome.status);
-            if (!outcome.reason.empty()) json.field("reason", outcome.reason);
-            if (outcome.status != "skipped") {
-              json.field("errors", outcome.errors);
-              json.field("warnings", outcome.warnings);
-            }
-            json.end_object();
-          }
-          json.end_array();
-          json.end_object();
-          telemetry::write_text_file(inject_scheme_json, json.str());
+          telemetry::write_text_file(inject_scheme_json, self_test.to_json());
         }
         return all_caught ? 0 : 1;
       }
@@ -490,28 +399,28 @@ int run(int argc, char** argv) {
                                                  {flags.get("scheme", "baseline")});
     info.provenance.fast_path = options.fast_path;
     if (collect->profiling()) {
-      if (!inject_profile.empty()) {
-        // Self-test: corrupt one bucket, then demand the matching rule fires.
-        telemetry::CycleProfile& profile = collect->profile();
-        if (profile.empty() || profile.layers.front().components.empty()) {
-          std::fprintf(stderr, "--inject-profile: no profile data to corrupt\n");
-          return 1;
-        }
-        telemetry::ComponentProfile& victim =
-            profile.layers.front().components.front();
-        victim.buckets[0] += 1;  // breaks conservation (sum != total)
-        const char* rule = "profile.conservation";
-        if (inject_profile == "total") {
-          victim.total_cycles += 1;  // restores conservation, breaks total
-          rule = "profile.total";
-        }
-        const verify::Report check = verify::run_profile_check(profile);
-        if (check.fired(rule)) {
-          std::printf("injected profile violation caught (%s)\n", rule);
-          return 0;
-        }
-        std::fprintf(stderr, "MISSED injected profile violation (%s)\n", rule);
-        return 1;
+      if (!profile_injections.empty()) {
+        // Self-test: corrupt one bucket of a copy, then demand the matching
+        // rule fires.
+        verify::SelfTest self_test({.tool = "sealdl-sim",
+                                    .mode = "inject-profile",
+                                    .workload = workload});
+        const bool all_caught = self_test.run(
+            profile_injections, [&](verify::Injection injection) {
+              telemetry::CycleProfile profile = collect->profile();
+              if (profile.empty() || profile.layers.front().components.empty()) {
+                throw std::runtime_error(
+                    "--inject-profile: no profile data to corrupt");
+              }
+              telemetry::ComponentProfile& victim =
+                  profile.layers.front().components.front();
+              victim.buckets[0] += 1;  // breaks conservation (sum != total)
+              if (injection == verify::Injection::kProfileTotal) {
+                victim.total_cycles += 1;  // restores conservation, breaks total
+              }
+              return verify::run_profile_check(profile);
+            });
+        return all_caught ? 0 : 1;
       }
       const verify::Report check =
           verify::run_profile_check(collect->profile());
