@@ -22,56 +22,43 @@
 
 namespace sealdl::bench {
 
-/// One bar group of the performance figures. Rows are materialized from the
-/// shared scheme registry (sim/scheme_registry.hpp), so the benches sweep the
-/// same table the CLIs resolve --scheme against.
-struct SchemeConfig {
-  std::string name;
-  sim::EncryptionScheme scheme;
-  bool selective;  ///< SEAL schemes encrypt only plan-marked ranges
-  const sim::SchemeInfo* info = nullptr;  ///< registry entry; null only for
-                                          ///< hand-built ablation rows
-};
-
-inline std::vector<SchemeConfig> schemes_from_registry(bool include_rivals) {
-  std::vector<SchemeConfig> out;
+/// The bar groups of the performance figures: registry rows
+/// (sim/scheme_registry.hpp), so the benches sweep the same table the CLIs
+/// resolve --scheme against. Baseline is the row whose family is kNone.
+inline std::vector<const sim::SchemeInfo*> schemes_from_registry(
+    bool include_rivals) {
+  std::vector<const sim::SchemeInfo*> out;
   for (const sim::SchemeInfo& info : sim::scheme_registry()) {
-    if (!include_rivals && !info.paper) continue;
-    out.push_back({info.display, info.family, info.selective(), &info});
+    if (include_rivals || info.paper) out.push_back(&info);
   }
   return out;
 }
 
 /// Baseline / Direct / Counter / SEAL-D / SEAL-C (paper §IV-A).
-inline std::vector<SchemeConfig> five_schemes() {
+inline std::vector<const sim::SchemeInfo*> five_schemes() {
   return schemes_from_registry(/*include_rivals=*/false);
 }
 
 /// The paper's five schemes plus the other registered entries
 /// (Split-Counter, GuardNN).
-inline std::vector<SchemeConfig> all_schemes() {
+inline std::vector<const sim::SchemeInfo*> all_schemes() {
   return schemes_from_registry(/*include_rivals=*/true);
 }
 
 /// Applies one scheme to a GTX480 config.
-inline sim::GpuConfig configure(const SchemeConfig& scheme) {
+inline sim::GpuConfig configure(const sim::SchemeInfo& scheme) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  if (scheme.info != nullptr) {
-    sim::apply_scheme(*scheme.info, config);
-  } else {
-    config.scheme = scheme.scheme;
-    config.selective = scheme.selective;
-  }
+  sim::apply_scheme(scheme, config);
   return config;
 }
 
 /// Sets the run options a scheme needs: legacy selectivity plus the explicit
 /// protection scope (which is what makes GuardNN's weights-only boundary take
 /// effect in the runner).
-inline void apply_scheme_options(const SchemeConfig& scheme,
+inline void apply_scheme_options(const sim::SchemeInfo& scheme,
                                  workload::RunOptions& options) {
-  options.selective = scheme.selective;
-  if (scheme.info != nullptr) options.scope = scheme.info->scope;
+  options.selective = scheme.selective();
+  options.scope = scheme.scope;
 }
 
 /// The paper's default SE plan: 50% ratio with the §III-B boundary policy.
@@ -104,7 +91,7 @@ inline int jobs_from_flags(util::CliFlags& flags) {
 /// layer's output feature map carries a downstream layer's 50% channel
 /// marking rather than the fully-encrypted network-output rule.
 inline workload::LayerResult run_body_layer(const models::LayerSpec& spec,
-                                            const SchemeConfig& scheme,
+                                            const sim::SchemeInfo& scheme,
                                             std::uint64_t tiles, double ratio,
                                             telemetry::RunTelemetry* collect = nullptr,
                                             int jobs = 1) {
@@ -158,9 +145,9 @@ inline void write_bench_provenance(util::JsonWriter& json,
 
 /// Scheme labels of a sweep, for provenance stamping.
 inline std::vector<std::string> scheme_names(
-    const std::vector<SchemeConfig>& schemes) {
+    const std::vector<const sim::SchemeInfo*>& schemes) {
   std::vector<std::string> names;
-  for (const SchemeConfig& scheme : schemes) names.push_back(scheme.name);
+  for (const sim::SchemeInfo* scheme : schemes) names.push_back(scheme->display);
   return names;
 }
 

@@ -45,17 +45,17 @@ int main_impl(int argc, char** argv) {
   // One fig7 sweep: every scheme over every network.
   const auto sweep = [&](int jobs) {
     double cycle_checksum = 0.0;
-    for (const auto& scheme : schemes) {
+    for (const sim::SchemeInfo* scheme : schemes) {
       for (const auto& net : nets) {
         workload::RunOptions options;
         options.max_tiles_per_layer = tiles;
-        options.selective = scheme.selective;
+        options.selective = scheme->selective();
         options.plan = bench::default_plan();
         options.plan.encryption_ratio = ratio;
         options.jobs = jobs;
         options.fast_path = fast_path;
         cycle_checksum +=
-            workload::run_network(net.second, bench::configure(scheme), options)
+            workload::run_network(net.second, bench::configure(*scheme), options)
                 .total_cycles();
       }
     }
@@ -100,7 +100,7 @@ int main_impl(int argc, char** argv) {
   // Speedups only mean anything relative to the cores the host exposed.
   json.field("host_cores", static_cast<std::uint64_t>(hw ? hw : 1));
   // jobs=0 in the provenance block flags a sweep over several job counts.
-  bench::write_bench_provenance(json, bench::configure(schemes.front()),
+  bench::write_bench_provenance(json, bench::configure(*schemes.front()),
                                 /*jobs=*/0, bench::five_scheme_names(),
                                 fast_path);
   json.field("cycle_checksum", points.front().checksum);

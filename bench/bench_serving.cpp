@@ -149,25 +149,25 @@ int main_impl(int argc, char** argv) {
 
   util::Table table({"scheme", "rate req/s", "p50 ms", "p95 ms", "p99 ms",
                      "throughput", "drop rate", "mean batch"});
-  for (const auto& scheme : schemes) {
-    const sim::GpuConfig config = bench::configure(scheme);
+  for (const sim::SchemeInfo* scheme : schemes) {
+    const sim::GpuConfig config = bench::configure(*scheme);
     workload::RunOptions options;
     options.max_tiles_per_layer = tiles;
-    bench::apply_scheme_options(scheme, options);
+    bench::apply_scheme_options(*scheme, options);
     options.plan = bench::default_plan();
     options.plan.encryption_ratio = ratio;
 
     const serve::ServiceModel model({serve::named_network("vgg16")}, config,
                                     options, max_batch, jobs, nullptr);
     Row row;
-    row.scheme = scheme.name;
+    row.scheme = scheme->display;
     row.service_ms_b1 =
         model.service_cycles(0, 1) / (config.core_mhz * 1e3);
     for (const double rate : rates) {
       serve::ServeOptions cell_options = serve_options;
       cell_options.rate_rps = rate;
       Cell cell{rate, serve::run_server(model, cell_options, config, nullptr)};
-      table.add_row({scheme.name, util::Table::fmt(rate, 0),
+      table.add_row({scheme->display, util::Table::fmt(rate, 0),
                      util::Table::fmt(cell.report.p50_ms, 1),
                      util::Table::fmt(cell.report.p95_ms, 1),
                      util::Table::fmt(cell.report.p99_ms, 1),
@@ -251,7 +251,7 @@ int main_impl(int argc, char** argv) {
   json.field("queue_depth", static_cast<std::uint64_t>(queue_depth));
   json.field("max_batch", max_batch);
   json.field("policy", policy_name);
-  bench::write_bench_provenance(json, bench::configure(schemes.front()), jobs,
+  bench::write_bench_provenance(json, bench::configure(*schemes.front()), jobs,
                                 bench::scheme_names(schemes));
   json.key("seal_check").begin_object();
   json.field("baseline_ms", base_ms);

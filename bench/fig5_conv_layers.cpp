@@ -25,15 +25,15 @@ int main_impl(int argc, char** argv) {
 
   auto collect = bench::telemetry_from_flags(flags);
   std::vector<double> baseline(layers.size(), 0.0);
-  for (const auto& scheme : bench::five_schemes()) {
-    std::vector<std::string> row{scheme.name};
+  for (const sim::SchemeInfo* scheme : bench::five_schemes()) {
+    std::vector<std::string> row{scheme->display};
     std::vector<double> normalized;
     for (std::size_t i = 0; i < layers.size(); ++i) {
       const std::size_t first = collect ? collect->layers().size() : 0;
-      const auto result = bench::run_body_layer(layers[i], scheme, tiles, ratio,
+      const auto result = bench::run_body_layer(layers[i], *scheme, tiles, ratio,
                                                 collect.get(), jobs);
-      bench::tag_new_layers(collect.get(), first, scheme.name);
-      if (scheme.scheme == sim::EncryptionScheme::kNone) baseline[i] = result.ipc();
+      bench::tag_new_layers(collect.get(), first, scheme->display);
+      if (scheme->family == sim::EncryptionScheme::kNone) baseline[i] = result.ipc();
       const double norm = result.ipc() / baseline[i];
       normalized.push_back(norm);
       row.push_back(util::Table::fmt(norm, 2));

@@ -35,21 +35,22 @@ int main_impl(int argc, char** argv) {
   auto collect = bench::telemetry_from_flags(flags);
   const auto schemes = bench::all_schemes();
   for (std::size_t s = 0; s < schemes.size(); ++s) {
-    std::vector<std::string> row{schemes[s].name};
+    const sim::SchemeInfo& scheme = *schemes[s];
+    std::vector<std::string> row{scheme.display};
     for (std::size_t n = 0; n < nets.size(); ++n) {
       workload::RunOptions options;
       options.max_tiles_per_layer = tiles;
-      bench::apply_scheme_options(schemes[s], options);
+      bench::apply_scheme_options(scheme, options);
       options.plan = bench::default_plan();
       options.plan.encryption_ratio = ratio;
       options.telemetry = collect.get();
       options.jobs = jobs;
       const std::size_t first = collect ? collect->layers().size() : 0;
       const auto result = workload::run_network(
-          nets[n].second, bench::configure(schemes[s]), options);
+          nets[n].second, bench::configure(scheme), options);
       bench::tag_new_layers(collect.get(), first,
-                            schemes[s].name + "/" + nets[n].first);
-      if (schemes[s].scheme == sim::EncryptionScheme::kNone) {
+                            std::string(scheme.display) + "/" + nets[n].first);
+      if (scheme.family == sim::EncryptionScheme::kNone) {
         baseline[n] = result.overall_ipc();
       }
       const double norm = result.overall_ipc() / baseline[n];

@@ -32,19 +32,20 @@ int main_impl(int argc, char** argv) {
 
   const auto schemes = bench::all_schemes();
   for (std::size_t s = 0; s < schemes.size(); ++s) {
-    std::vector<std::string> row{schemes[s].name};
+    const sim::SchemeInfo& scheme = *schemes[s];
+    std::vector<std::string> row{scheme.display};
     double total_ms = 0.0;
     for (std::size_t n = 0; n < nets.size(); ++n) {
       workload::RunOptions options;
       options.max_tiles_per_layer = tiles;
-      bench::apply_scheme_options(schemes[s], options);
+      bench::apply_scheme_options(scheme, options);
       options.plan = bench::default_plan();
       options.plan.encryption_ratio = ratio;
       options.jobs = jobs;
       const auto result = workload::run_network(
-          nets[n].second, bench::configure(schemes[s]), options);
+          nets[n].second, bench::configure(scheme), options);
       const double cycles = result.total_cycles();
-      if (schemes[s].scheme == sim::EncryptionScheme::kNone) baseline[n] = cycles;
+      if (scheme.family == sim::EncryptionScheme::kNone) baseline[n] = cycles;
       normalized[s].push_back(cycles / baseline[n]);
       row.push_back(util::Table::fmt(cycles / baseline[n], 2));
       total_ms += cycles / 700e6 * 1e3;

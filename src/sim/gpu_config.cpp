@@ -14,6 +14,20 @@ const char* scheme_name(EncryptionScheme scheme) {
   return "?";
 }
 
+const char* protection_scope_name(ProtectionScope scope) {
+  switch (scope) {
+    case ProtectionScope::kNone:
+      return "none";
+    case ProtectionScope::kAll:
+      return "all";
+    case ProtectionScope::kPlanRows:
+      return "plan-rows";
+    case ProtectionScope::kWeights:
+      return "weights";
+  }
+  return "?";
+}
+
 GpuConfig GpuConfig::gtx480() { return GpuConfig{}; }
 
 }  // namespace sealdl::sim

@@ -23,7 +23,17 @@ enum class EncryptionScheme {
 /// Returns a short human-readable name ("Baseline", "Direct", "Counter").
 const char* scheme_name(EncryptionScheme scheme);
 
-class SchemeModel;
+/// Which addresses a scheme protects (drives secure-map construction and the
+/// scheme.wire / scheme.boundary clauses).
+enum class ProtectionScope : std::uint8_t {
+  kNone,      ///< nothing protected (Baseline)
+  kAll,       ///< every data address (full-encryption schemes)
+  kPlanRows,  ///< the encryption plan's protected rows/channels (SEAL)
+  kWeights,   ///< every weight byte, no activations (GuardNN-style)
+};
+
+/// Returns the scope's short name ("none", "all", "plan-rows", "weights").
+const char* protection_scope_name(ProtectionScope scope);
 
 struct GpuConfig {
   // --- compute ---
@@ -70,11 +80,6 @@ struct GpuConfig {
   /// When true, only addresses marked secure in the SecureMap are encrypted
   /// (SEAL); when false every address is treated as secure (full encryption).
   bool selective = false;
-  /// Resolved scheme model (sim/scheme_registry.hpp). Null means "derive from
-  /// `scheme`": the controller falls back to the family's canonical registry
-  /// entry, so enum-only configs keep working. Not part of the config hash —
-  /// the JSON report serializes the scheme by name, never by pointer.
-  const SchemeModel* scheme_model = nullptr;
 
   /// Per-channel achievable DRAM bandwidth in bytes per core cycle.
   [[nodiscard]] double dram_bytes_per_cycle_per_channel() const {

@@ -3,21 +3,18 @@
 #include <algorithm>
 
 #include "sim/bus_probe.hpp"
-#include "sim/scheme_registry.hpp"
 
 namespace sealdl::sim {
 
 MemoryController::MemoryController(const GpuConfig& config,
                                    const SecureMap* secure_map)
     : config_(config),
-      model_(config.scheme_model ? config.scheme_model
-                                 : default_scheme_for(config.scheme).model),
       secure_map_(secure_map),
       dram_(config.dram_bytes_per_cycle_per_channel(),
             static_cast<Cycle>(config.dram_latency)),
       aes_(config.aes_bytes_per_cycle(),
            static_cast<Cycle>(config.engine.latency_cycles)) {
-  if (model_->uses_counter_cache()) {
+  if (config.scheme == EncryptionScheme::kCounter) {
     counter_cache_.emplace(static_cast<std::size_t>(config.counter_cache_kb) * 1024,
                            config.counter_cache_assoc, config.line_bytes);
   }
@@ -36,14 +33,6 @@ Addr MemoryController::counter_line_addr(Addr data_addr) const {
       kCounterRegionBase +
       counter_index * static_cast<Addr>(config_.effective_counter_bytes());
   return byte_addr & ~static_cast<Addr>(config_.line_bytes - 1);
-}
-
-Cycle MemoryController::dram_schedule(Cycle now, std::uint64_t bytes) {
-  return dram_.schedule(now, bytes);
-}
-
-Cycle MemoryController::aes_schedule(Cycle now, std::uint64_t bytes) {
-  return aes_.schedule(now, bytes);
 }
 
 Cycle MemoryController::fetch_counter(Cycle now, Addr addr, bool for_write) {
@@ -82,7 +71,24 @@ Cycle MemoryController::read_line(Cycle now, Addr addr) {
   }
 
   encrypted_bytes_ += bytes;
-  return model_->read_secure(*this, now, addr, bytes);
+  switch (config_.scheme) {
+    case EncryptionScheme::kNone:  // needs_encryption() is false throughout
+      break;
+    case EncryptionScheme::kDirect: {
+      // Data must arrive before the (de)cipher can start.
+      const Cycle data_done = dram_.schedule(now, bytes);
+      return aes_.schedule(data_done, bytes);
+    }
+    case EncryptionScheme::kCounter: {
+      // Pad generation starts as soon as the counter is known and overlaps
+      // the data fetch; the final XOR costs one cycle.
+      const Cycle data_done = dram_.schedule(now, bytes);
+      const Cycle counter_done = fetch_counter(now, addr, /*for_write=*/false);
+      const Cycle pad_done = aes_.schedule(counter_done, bytes);
+      return std::max(data_done, pad_done) + 1;
+    }
+  }
+  return dram_.schedule(now, bytes);
 }
 
 Cycle MemoryController::write_line(Cycle now, Addr addr) {
@@ -97,7 +103,22 @@ Cycle MemoryController::write_line(Cycle now, Addr addr) {
   }
 
   encrypted_bytes_ += bytes;
-  return model_->write_secure(*this, now, addr, bytes);
+  switch (config_.scheme) {
+    case EncryptionScheme::kNone:  // needs_encryption() is false throughout
+      break;
+    case EncryptionScheme::kDirect: {
+      const Cycle cipher_done = aes_.schedule(now, bytes);
+      return dram_.schedule(cipher_done, bytes);
+    }
+    case EncryptionScheme::kCounter: {
+      // Writes bump the per-line counter, so the counter fetch dirties its
+      // counter-cache line; the encrypted payload drains after the pad XOR.
+      const Cycle counter_done = fetch_counter(now, addr, /*for_write=*/true);
+      const Cycle pad_done = aes_.schedule(counter_done, bytes);
+      return dram_.schedule(pad_done + 1, bytes);
+    }
+  }
+  return dram_.schedule(now, bytes);
 }
 
 void MemoryController::accumulate(SimStats& stats) const {

@@ -1,19 +1,24 @@
 // The single source of truth for every secure-memory scheme the toolchain
-// knows: CLI spelling, display name, EncryptionScheme family, protection
-// scope, and the SchemeModel singleton that times it.
+// knows. A scheme is its row: CLI spelling, display name, cipher family
+// (none, direct, or counter with a counter cache) and protection scope
+// (nothing, everything, SEAL's plan rows, or weights only). Everything else
+// follows from those two choices: the MemoryController times a secure line
+// by switching on the family, and the scheme.* analyzer
+// (verify/scheme_checkers.hpp) derives every obligation it checks — wire
+// side, boundary, metadata, AES occupancy, read serialization — from the
+// family and the scope.
 //
 // `GpuConfig`, `sealdl-sim`, `sealdl-serve`, `sealdl-check`, and the benches
 // all resolve schemes by name through this table, so adding a scheme is one
-// row here (plus its model) and cannot desync `--scheme` parsing, report
-// provenance, and the conformance analyzer — scheme.registry plus the
-// rule-catalog drift gates fail the build on a missing or inconsistent entry.
+// row here and cannot desync `--scheme` parsing, report provenance, and the
+// conformance analyzer — scheme.registry plus the rule-catalog drift gates
+// fail the build on a missing or inconsistent entry.
 #pragma once
 
 #include <span>
 #include <string_view>
 
 #include "sim/gpu_config.hpp"
-#include "sim/scheme_model.hpp"
 
 namespace sealdl::sim {
 
@@ -22,9 +27,8 @@ namespace sealdl::sim {
 struct SchemeInfo {
   const char* cli_name;
   const char* display;
-  EncryptionScheme family;  ///< timing family the controller enum still names
+  EncryptionScheme family;  ///< cipher mode the controller times
   ProtectionScope scope;    ///< what the scheme protects
-  const SchemeModel* model; ///< registry-owned singleton, never null
   bool paper;               ///< one of the paper's five schemes (fig benches)
   bool split_counters = false;  ///< 1-byte counters (GpuConfig::split_counters)
 
@@ -47,12 +51,8 @@ struct SchemeInfo {
 /// can never drift from the accepted set.
 [[nodiscard]] const SchemeInfo& parse_scheme(std::string_view name);
 
-/// The registry entry whose model a config resolves to when no explicit
-/// model was applied: the canonical full-coverage entry of each family.
-[[nodiscard]] const SchemeInfo& default_scheme_for(EncryptionScheme family);
-
 /// Configures `config` to run `info`: sets the scheme family, the selective
-/// flag, and the model pointer the MemoryController dispatches through.
+/// flag, and the counter layout.
 void apply_scheme(const SchemeInfo& info, GpuConfig& config);
 
 }  // namespace sealdl::sim

@@ -182,45 +182,23 @@ void apply_model_injection(AnalysisInput& input) {
       }
       not_applicable(input.inject, "no encrypted weight row");
     }
-    case Injection::kAuditBoundary: {
-      // Over-protect one deliberately-plain row: the map now encrypts a row
-      // the plan exposes, so the observed plaintext set is smaller than the
-      // plan's unprotected set.
-      const auto& plan = require_plan(input);
-      for (std::size_t i = 0; i < input.specs.size(); ++i) {
-        if (input.plan_index[i] < 0) continue;
-        const auto& lp = plan.layer(static_cast<std::size_t>(input.plan_index[i]));
-        for (int r = 0; r < lp.rows; ++r) {
-          if (row_encrypted_safe(lp, r)) continue;
-          input.heap.mark_secure(
-              layers[i].weight_base +
-                  static_cast<std::uint64_t>(r) * layers[i].weight_row_pitch,
-              layers[i].weight_row_pitch);
-          return;
-        }
-      }
-      not_applicable(input.inject, "no plaintext weight row (ratio 1.0?)");
-    }
+    case Injection::kAuditBoundary:
     case Injection::kLayoutAlign:
     case Injection::kLayoutAccount: {
-      const auto& plan = require_plan(input);
-      for (std::size_t i = 0; i < input.specs.size(); ++i) {
-        if (input.plan_index[i] < 0) continue;
-        const auto& lp = plan.layer(static_cast<std::size_t>(input.plan_index[i]));
-        for (int r = 0; r < lp.rows; ++r) {
-          if (row_encrypted_safe(lp, r)) continue;
-          const sim::Addr row =
-              layers[i].weight_base +
-              static_cast<std::uint64_t>(r) * layers[i].weight_row_pitch;
-          if (input.inject == Injection::kLayoutAlign) {
-            input.heap.mark_secure(row + 4, 8);  // unaligned edges
-          } else {
-            input.heap.mark_secure(row, 128);  // aligned, but unaccounted
-          }
-          return;
-        }
+      require_plan(input);
+      const auto row = first_plain_weight_row(input);
+      if (!row) not_applicable(input.inject, "no plaintext weight row (ratio 1.0?)");
+      if (input.inject == Injection::kAuditBoundary) {
+        // Over-protect one deliberately-plain row: the map now encrypts a
+        // row the plan exposes, so the observed plaintext set is smaller
+        // than the plan's unprotected set.
+        input.heap.mark_secure(row->begin, row->bytes);
+      } else if (input.inject == Injection::kLayoutAlign) {
+        input.heap.mark_secure(row->begin + 4, 8);  // unaligned edges
+      } else {
+        input.heap.mark_secure(row->begin, 128);  // aligned, but unaccounted
       }
-      not_applicable(input.inject, "no plaintext weight row (ratio 1.0?)");
+      return;
     }
     case Injection::kLayoutUntagged: {
       const auto& plan = require_plan(input);
@@ -271,6 +249,24 @@ const Region* AnalysisInput::region_at(sim::Addr addr) const {
   if (it == regions.begin()) return nullptr;
   --it;
   return addr < it->end ? &*it : nullptr;
+}
+
+std::optional<WeightRow> first_plain_weight_row(const AnalysisInput& input) {
+  if (!input.plan || !input.layout) return std::nullopt;
+  const auto& layers = input.layout->layers();
+  for (std::size_t i = 0; i < input.specs.size(); ++i) {
+    if (input.plan_index[i] < 0) continue;
+    const auto& lp =
+        input.plan->layer(static_cast<std::size_t>(input.plan_index[i]));
+    for (int r = 0; r < lp.rows; ++r) {
+      if (row_encrypted_safe(lp, r)) continue;
+      return WeightRow{layers[i].weight_base +
+                           static_cast<std::uint64_t>(r) *
+                               layers[i].weight_row_pitch,
+                       layers[i].weight_row_pitch};
+    }
+  }
+  return std::nullopt;
 }
 
 std::vector<ResidualEdge> residual_edges_from_names(

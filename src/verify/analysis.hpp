@@ -87,6 +87,17 @@ struct BuildOptions {
 AnalysisInput build_input(const std::vector<models::LayerSpec>& specs,
                           const BuildOptions& options);
 
+/// One weight row of the built layout.
+struct WeightRow {
+  sim::Addr begin = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// The first weight row the plan leaves plaintext, or nullopt when there is
+/// none (no plan, or encryption ratio 1.0).
+[[nodiscard]] std::optional<WeightRow> first_plain_weight_row(
+    const AnalysisInput& input);
+
 /// Reconstructs identity skip edges from spec names (empty for chains like
 /// VGG that have none).
 std::vector<ResidualEdge> residual_edges_from_names(

@@ -30,12 +30,14 @@ const std::vector<InjectionInfo>& injection_table() {
       {Injection::kPlanResidual, kCheck, "plan-residual", {"plan.residual"},
        Needs::kResidualTopology},
       {Injection::kLayoutWeights, kCheck, "layout-weights", {"layout.weights"}},
-      {Injection::kLayoutAlign, kCheck, "layout-align", {"layout.align"}},
+      {Injection::kLayoutAlign, kCheck, "layout-align", {"layout.align"},
+       Needs::kPlainWeightRow},
       {Injection::kLayoutUntagged, kCheck, "layout-untagged",
        {"layout.untagged"}},
       {Injection::kLayoutBounds, kCheck, "layout-bounds", {"layout.bounds"}},
       {Injection::kLayoutOverlap, kCheck, "layout-overlap", {"layout.overlap"}},
-      {Injection::kLayoutAccount, kCheck, "layout-account", {"layout.account"}},
+      {Injection::kLayoutAccount, kCheck, "layout-account", {"layout.account"},
+       Needs::kPlainWeightRow},
       {Injection::kTraceBounds, kCheck, "trace-bounds", {"trace.bounds"}},
       {Injection::kTraceWait, kCheck, "trace-wait", {"trace.wait"}},
       {Injection::kTraceOrder, kCheck, "trace-order", {"trace.order"}},
@@ -43,7 +45,7 @@ const std::vector<InjectionInfo>& injection_table() {
       {Injection::kAuditLeak, kCheck, "audit-leak", {"scheme.wire"},
        Needs::kNothing, "seal-d"},
       {Injection::kAuditBoundary, kCheck, "audit-boundary", {"scheme.boundary"},
-       Needs::kNothing, "seal-d"},
+       Needs::kPlainWeightRow, "seal-d"},
       {Injection::kAuditCounter, kCheck, "audit-counter", {"scheme.metadata"},
        Needs::kNothing, "counter"},
       {Injection::kAuditOracle, kCheck, "audit-oracle", {"scheme.oracle"},
@@ -120,6 +122,9 @@ bool SelfTest::run(const std::vector<Injection>& selected, const Stage& stage) {
       // corruption the rule could object to.
       outcome.reason = std::string("no must-cipher lines under scope ") +
                        sim::protection_scope_name(target_.scope);
+    } else if (info.needs == Needs::kPlainWeightRow &&
+               !target_.plain_weight_row) {
+      outcome.reason = "no plaintext weight row in the plan";
     }
     if (!outcome.reason.empty()) {
       outcome.status = Status::kSkipped;

@@ -19,7 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/scheme_model.hpp"
+#include "sim/gpu_config.hpp"
 #include "verify/diagnostics.hpp"
 
 namespace sealdl::verify {
@@ -59,7 +59,7 @@ enum class Injection {
   kSchemeBoundary,  ///< record plaintext bytes inside a protected weight row
   kSchemeMetadata,  ///< perturb the controllers' counter-traffic accounting
   kSchemeCoverage,  ///< claim one encrypted byte the controllers never saw
-  kSchemeTiming,    ///< falsify the contract's declared serialization shape
+  kSchemeTiming,    ///< claim another family's serialization shape
   kSchemeRegistry,  ///< duplicate a CLI name in a copy of the registry table
   // --- sealdl-sim --inject-profile ------------------------------------------
   kProfileConservation,  ///< add one cycle to a bucket: sum != total
@@ -76,6 +76,7 @@ enum class Needs {
   kNothing,
   kResidualTopology,  ///< a ResNet-style identity block
   kMustCipher,        ///< a must-cipher wire side (any scope but none)
+  kPlainWeightRow,    ///< a weight row the plan leaves plaintext (ratio < 1)
 };
 
 /// One row of the injection table.
@@ -114,6 +115,7 @@ struct SelfTestTarget {
   std::string workload{};  ///< JSON "workload"
   std::string scheme{};    ///< JSON "scheme" when non-empty
   bool residual_topology = true;  ///< the workload has identity blocks
+  bool plain_weight_row = true;   ///< the plan leaves a weight row plaintext
   sim::ProtectionScope scope = sim::ProtectionScope::kAll;  ///< audited scope
 };
 

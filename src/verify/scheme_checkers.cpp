@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -74,24 +73,21 @@ WirePolicy plan_line_policy(const AnalysisInput& input, const Region& region,
                                          : WirePolicy::kMustPlain;
 }
 
-/// The contract's wire policy for one data line. nullopt = the contract does
-/// not constrain this line.
-std::optional<WirePolicy> wire_policy(const sim::SchemeContract& contract,
-                                      const AnalysisInput& input,
-                                      const Region& region,
-                                      sim::Addr line_addr) {
-  switch (contract.wire) {
-    case sim::WireVisibility::kFullPlain:
+/// The wire side a scheme's scope requires of one data line.
+WirePolicy wire_policy(sim::ProtectionScope scope, const AnalysisInput& input,
+                       const Region& region, sim::Addr line_addr) {
+  switch (scope) {
+    case sim::ProtectionScope::kNone:
       return WirePolicy::kMustPlain;
-    case sim::WireVisibility::kFullCipher:
+    case sim::ProtectionScope::kAll:
       return WirePolicy::kMustCipher;
-    case sim::WireVisibility::kPlanBoundary:
+    case sim::ProtectionScope::kPlanRows:
       return plan_line_policy(input, region, line_addr);
-    case sim::WireVisibility::kWeightsCipher:
+    case sim::ProtectionScope::kWeights:
       return region.kind == Region::Kind::kWeights ? WirePolicy::kMustCipher
                                                    : WirePolicy::kMustPlain;
   }
-  return std::nullopt;
+  return WirePolicy::kMustPlain;
 }
 
 void add_error(Report& report, const char* rule, const std::string& layer,
@@ -104,21 +100,21 @@ void add_error(Report& report, const char* rule, const std::string& layer,
               .message = std::move(message)});
 }
 
-/// Latency of a line read issued at `now` on a fresh controller configured
-/// for `entry` (selective off, so the probe address is in-scope for every
-/// non-baseline scheme).
+/// A GTX480 config running cipher `family` over every address (selective
+/// off, so any address is in scope for a non-baseline family).
+sim::GpuConfig family_config(sim::EncryptionScheme family) {
+  sim::GpuConfig config = sim::GpuConfig::gtx480();
+  config.scheme = family;
+  return config;
+}
+
+/// Latency of a line read issued at `now` on a fresh controller running
+/// `family`.
 struct TimingProbe {
   sim::MemoryController controller;
 
-  explicit TimingProbe(const sim::SchemeInfo& entry)
-      : controller(probe_config(entry), nullptr) {}
-
-  static sim::GpuConfig probe_config(const sim::SchemeInfo& entry) {
-    sim::GpuConfig config = sim::GpuConfig::gtx480();
-    apply_scheme(entry, config);
-    config.selective = false;  // the probe address must hit the secure path
-    return config;
-  }
+  explicit TimingProbe(sim::EncryptionScheme family)
+      : controller(family_config(family), nullptr) {}
 
   sim::Cycle read_latency(sim::Cycle now, sim::Addr addr) {
     return controller.read_line(now, addr) - now;
@@ -232,13 +228,12 @@ void functional_transcript(const AnalysisInput& input,
 /// Replays data traffic through a real counter-mode memory controller —
 /// counter cache, metadata fills/writebacks, and the end-of-run flush drain —
 /// and reconciles the controller's accounting with what the bus probe saw.
-void counter_replay(const AnalysisInput& input, Report& report) {
-  const sim::SchemeInfo& entry =
-      sim::default_scheme_for(sim::EncryptionScheme::kCounter);
+/// `entry` is the counter-family scheme whose transcript asked for it.
+void counter_replay(const AnalysisInput& input, const sim::SchemeInfo& entry,
+                    Report& report) {
   SchemeRunEvidence evidence;
   evidence.input = &input;
-  evidence.config = sim::GpuConfig::gtx480();
-  sim::apply_scheme(entry, evidence.config);
+  evidence.config = family_config(sim::EncryptionScheme::kCounter);
   sim::MemoryController controller(evidence.config, &input.heap.secure_map());
   TaintLedger ledger;
   TaintProbe probe(&input, &ledger);
@@ -304,47 +299,12 @@ void check_scheme_registry(std::span<const sim::SchemeInfo> entries,
                 "duplicate display name '" + std::string(info.display) +
                     "' in the scheme registry");
     }
-    if (info.model == nullptr) {
-      add_error(report, "scheme.registry", name, 0, 0,
-                "registry entry '" + name + "' has no scheme model");
-      continue;
-    }
-    const sim::SchemeContract& contract = info.model->contract();
-    if (contract.scope != info.scope) {
-      add_error(report, "scheme.registry", name, 0, 0,
-                "entry '" + name + "' scope (" +
-                    sim::protection_scope_name(info.scope) +
-                    ") disagrees with its contract (" +
-                    sim::protection_scope_name(contract.scope) + ")");
-    }
     if ((info.family == sim::EncryptionScheme::kNone) !=
         (info.scope == sim::ProtectionScope::kNone)) {
       add_error(report, "scheme.registry", name, 0, 0,
                 "entry '" + name +
                     "' protects nothing iff its family is kNone — family and "
                     "scope disagree");
-    }
-    const bool has_counters = info.model->uses_counter_cache();
-    if (has_counters !=
-        (contract.metadata == sim::MetadataModel::kCounterLines)) {
-      add_error(report, "scheme.registry", name, 0, 0,
-                "entry '" + name +
-                    "' declares counter-line metadata iff it uses a counter "
-                    "cache — model and contract disagree");
-    }
-    if (contract.pays_aes_occupancy ==
-        (info.family == sim::EncryptionScheme::kNone)) {
-      add_error(report, "scheme.registry", name, 0, 0,
-                "entry '" + name +
-                    "' pays AES occupancy iff it encrypts — contract and "
-                    "family disagree");
-    }
-    if ((contract.read_shape == sim::SerializationShape::kPadOverlapsData) !=
-        has_counters) {
-      add_error(report, "scheme.registry", name, 0, 0,
-                "entry '" + name +
-                    "' declares pad-overlap serialization iff it has "
-                    "counters to overlap with");
     }
     // Name round-trip through the shared parser: both spellings must resolve
     // back to an entry carrying this CLI name (drift check for the
@@ -362,55 +322,55 @@ void check_scheme_registry(std::span<const sim::SchemeInfo> entries,
 }
 
 void check_scheme_timing(const sim::SchemeInfo& entry,
-                         const sim::SchemeContract& claimed, Report& report) {
+                         sim::EncryptionScheme claimed, Report& report) {
   const std::string name = entry.cli_name;
   constexpr sim::Addr kAddr = 0x1000'0000;
   // Quiet-time reference: a late enough issue cycle that every pipe is idle
   // again, so latencies are pure (no occupancy queueing from earlier probes).
   constexpr sim::Cycle kQuiet = 1'000'000;
 
-  TimingProbe baseline(sim::default_scheme_for(sim::EncryptionScheme::kNone));
+  TimingProbe baseline(sim::EncryptionScheme::kNone);
   const sim::Cycle plain = baseline.read_latency(0, kAddr);
 
-  TimingProbe probe(entry);
+  TimingProbe probe(entry.family);
   const sim::Cycle cold = probe.read_latency(0, kAddr);
   // Second read of the same line at quiet time: for counter-family schemes
   // the counter is now cached, so this is the steady-state (hit) latency.
   const sim::Cycle warm = probe.read_latency(kQuiet, kAddr);
 
-  switch (claimed.read_shape) {
-    case sim::SerializationShape::kPassthrough:
+  switch (claimed) {
+    case sim::EncryptionScheme::kNone:
       if (cold != plain || warm != plain) {
         add_error(report, "scheme.timing", name, 0, 0,
-                  "contract claims passthrough reads but a secure read took " +
+                  "claimed passthrough reads but a secure read took " +
                       std::to_string(cold) + "/" + std::to_string(warm) +
                       " cycles vs " + std::to_string(plain) + " plain");
       }
       break;
-    case sim::SerializationShape::kAesAfterData:
+    case sim::EncryptionScheme::kDirect:
       // Serialized crypto can never match the plain latency — cold or warm.
       if (cold <= plain || warm <= plain) {
         add_error(report, "scheme.timing", name, 0, 0,
-                  "contract claims AES-after-data serialization but a secure "
+                  "claimed AES-after-data serialization but a secure "
                   "read took " +
                       std::to_string(cold) + "/" + std::to_string(warm) +
                       " cycles vs " + std::to_string(plain) +
                       " plain — the cipher is not on the critical path");
       }
       break;
-    case sim::SerializationShape::kPadOverlapsData:
+    case sim::EncryptionScheme::kCounter:
       // On a counter hit the pad hides behind the data fetch entirely; only
       // the final XOR remains visible. A cold miss must cost more than that.
       if (warm != plain + 1) {
         add_error(report, "scheme.timing", name, 0, 0,
-                  "contract claims pad generation overlaps the data fetch on "
+                  "claimed pad generation overlaps the data fetch on "
                   "a counter hit, but a warm read took " +
                       std::to_string(warm) + " cycles vs " +
                       std::to_string(plain) + " plain (+1 XOR expected)");
       }
       if (cold <= warm) {
         add_error(report, "scheme.timing", name, 0, 0,
-                  "contract claims the pad overlap is hidden only on a "
+                  "claimed the pad overlap is hidden only on a "
                   "counter hit, but a cold (miss) read took " +
                       std::to_string(cold) + " cycles vs " +
                       std::to_string(warm) + " warm");
@@ -422,7 +382,6 @@ void check_scheme_timing(const sim::SchemeInfo& entry,
 void check_scheme_wire(const sim::SchemeInfo& entry,
                        const SchemeRunEvidence& evidence, Report& report) {
   const AnalysisInput& input = *evidence.input;
-  const sim::SchemeContract& contract = entry.model->contract();
   std::uint64_t untagged = 0;
   for (const auto& [addr, counts] : evidence.ledger->lines()) {
     if (addr >= sim::kCounterRegionBase) continue;
@@ -432,21 +391,20 @@ void check_scheme_wire(const sim::SchemeInfo& entry,
                   plain_bytes(counts) + cipher_bytes(counts);
       continue;
     }
-    const auto policy = wire_policy(contract, input, *region, addr);
-    if (!policy) continue;
+    const WirePolicy policy = wire_policy(entry.scope, input, *region, addr);
     const std::uint64_t plain = plain_bytes(counts);
     const std::uint64_t cipher = cipher_bytes(counts);
-    if (*policy == WirePolicy::kMustCipher && plain > 0) {
+    if (policy == WirePolicy::kMustCipher && plain > 0) {
       add_error(report, "scheme.wire", region->name, addr, addr + kLine,
                 std::to_string(plain) + " plaintext byte(s) of " +
                     region->name + " on the bus, but " + entry.cli_name +
-                    "'s contract requires ciphertext here");
+                    "'s scope requires ciphertext here");
     }
-    if (*policy == WirePolicy::kMustPlain && cipher > 0) {
+    if (policy == WirePolicy::kMustPlain && cipher > 0) {
       add_error(report, "scheme.wire", region->name, addr, addr + kLine,
                 std::to_string(cipher) + " ciphertext byte(s) of " +
                     region->name + " on the bus, but " + entry.cli_name +
-                    "'s contract leaves this address unprotected");
+                    "'s scope leaves this address unprotected");
     }
   }
   if (untagged > 0) {
@@ -464,7 +422,7 @@ void check_scheme_wire(const sim::SchemeInfo& entry,
 void check_scheme_boundary(const sim::SchemeInfo& entry,
                            const SchemeRunEvidence& evidence, Report& report) {
   const AnalysisInput& input = *evidence.input;
-  const sim::ProtectionScope scope = entry.model->contract().scope;
+  const sim::ProtectionScope scope = entry.scope;
   const auto wp = static_cast<std::size_t>(TaintClass::kWeightPlain);
   const auto wc = static_cast<std::size_t>(TaintClass::kWeightCipher);
   const auto& lines = evidence.ledger->lines();
@@ -532,10 +490,10 @@ void check_scheme_metadata_ledger(const sim::SchemeInfo& entry,
                                   std::uint64_t controller_counter_bytes,
                                   Report& report) {
   const std::uint64_t ledger_meta = ledger.class_bytes(TaintClass::kCounterMeta);
-  if (entry.model->contract().metadata == sim::MetadataModel::kNone) {
+  if (entry.family != sim::EncryptionScheme::kCounter) {
     if (ledger_meta != 0 || controller_counter_bytes != 0) {
       add_error(report, "scheme.metadata", entry.cli_name, 0, 0,
-                "counter metadata under a scheme declaring none (controller " +
+                "counter metadata under a scheme without counters (controller " +
                     std::to_string(controller_counter_bytes) + " B, ledger " +
                     std::to_string(ledger_meta) + " B)");
     }
@@ -557,12 +515,12 @@ void check_scheme_metadata(const sim::SchemeInfo& entry,
   const std::string name = entry.cli_name;
   check_scheme_metadata_ledger(entry, *evidence.ledger,
                                stats.counter_traffic_bytes, report);
-  if (entry.model->contract().metadata == sim::MetadataModel::kNone) {
+  if (entry.family != sim::EncryptionScheme::kCounter) {
     if (stats.counter_hits != 0 || stats.counter_misses != 0) {
       add_error(report, "scheme.metadata", name, 0, 0,
                 std::to_string(stats.counter_hits + stats.counter_misses) +
-                    " counter-cache lookup(s) under a scheme declaring no "
-                    "metadata");
+                    " counter-cache lookup(s) under a scheme without "
+                    "counters");
     }
     return;
   }
@@ -592,10 +550,9 @@ void check_scheme_metadata(const sim::SchemeInfo& entry,
 void check_scheme_coverage(const sim::SchemeInfo& entry,
                            const SchemeRunEvidence& evidence, Report& report) {
   const sim::SimStats& stats = evidence.stats;
-  const sim::SchemeContract& contract = entry.model->contract();
   const std::string name = entry.cli_name;
   const std::uint64_t data = stats.dram_read_bytes + stats.dram_write_bytes;
-  switch (contract.scope) {
+  switch (entry.scope) {
     case sim::ProtectionScope::kNone:
       if (stats.encrypted_bytes != 0 || stats.bypassed_bytes != 0) {
         add_error(report, "scheme.coverage", name, 0, 0,
@@ -624,17 +581,17 @@ void check_scheme_coverage(const sim::SchemeInfo& entry,
       }
       break;
   }
-  if (contract.pays_aes_occupancy) {
+  if (entry.family != sim::EncryptionScheme::kNone) {
     if (stats.encrypted_bytes > 0 && stats.aes_busy_cycles <= 0.0) {
       add_error(report, "scheme.coverage", name, 0, 0,
                 std::to_string(stats.encrypted_bytes) +
-                    " encrypted byte(s) booked zero AES occupancy — the "
-                    "contract says every encrypted byte pays");
+                    " encrypted byte(s) booked zero AES occupancy — every "
+                    "encrypted byte pays");
     }
   } else if (stats.aes_busy_cycles != 0.0) {
     add_error(report, "scheme.coverage", name, 0, 0,
               "AES occupancy (" + std::to_string(stats.aes_busy_cycles) +
-                  " engine-cycles) under a scheme declaring none");
+                  " engine-cycles) under a scheme without a cipher");
   }
 }
 
@@ -663,7 +620,7 @@ Report run_scheme_conformance(const sim::SchemeInfo& entry,
                               const SchemeRunEvidence& evidence) {
   Report report;
   check_scheme_registry(sim::scheme_registry(), report);
-  check_scheme_timing(entry, entry.model->contract(), report);
+  check_scheme_timing(entry, entry.family, report);
   check_scheme_wire(entry, evidence, report);
   check_scheme_boundary(entry, evidence, report);
   check_scheme_metadata(entry, evidence, report);
@@ -674,16 +631,18 @@ Report run_scheme_conformance(const sim::SchemeInfo& entry,
 int run_functional_audit(const AnalysisInput& input, Report& report,
                          const sim::SchemeInfo* only) {
   int transcribed = 0;
-  bool any_counter = false;
+  const sim::SchemeInfo* first_counter = nullptr;
   for (const sim::SchemeInfo& entry : sim::scheme_registry()) {
     if (only != nullptr ? &entry != only : !entry.paper) continue;
     if (entry.scope == sim::ProtectionScope::kPlanRows && !input.plan) continue;
     functional_transcript(input, entry, report);
     ++transcribed;
-    any_counter |= entry.model->contract().metadata ==
-                   sim::MetadataModel::kCounterLines;
+    if (first_counter == nullptr &&
+        entry.family == sim::EncryptionScheme::kCounter) {
+      first_counter = &entry;
+    }
   }
-  if (any_counter) counter_replay(input, report);
+  if (first_counter != nullptr) counter_replay(input, *first_counter, report);
   return transcribed;
 }
 
@@ -694,13 +653,12 @@ Report run_scheme_injection(Injection injection,
   const AnalysisInput& input = *evidence.input;
   switch (injection) {
     case Injection::kSchemeWire: {
-      // Record plaintext bytes on the first line the contract requires to be
+      // Record plaintext bytes on the first line the scope requires to be
       // ciphertext; only copies are touched, never the run's real ledger.
       TaintLedger corrupted = *evidence.ledger;
-      const sim::SchemeContract& contract = entry.model->contract();
       for (const Region& region : input.regions) {
-        const auto policy = wire_policy(contract, input, region, region.begin);
-        if (policy == WirePolicy::kMustCipher) {
+        if (wire_policy(entry.scope, input, region, region.begin) ==
+            WirePolicy::kMustCipher) {
           corrupted.record(region.begin, static_cast<std::uint32_t>(kLine),
                            /*is_write=*/false,
                            region.kind == Region::Kind::kWeights
@@ -717,7 +675,7 @@ Report run_scheme_injection(Injection injection,
     case Injection::kSchemeBoundary: {
       // Plaintext inside a protected weight row: find one under the scope.
       TaintLedger corrupted = *evidence.ledger;
-      const sim::ProtectionScope scope = entry.model->contract().scope;
+      const sim::ProtectionScope scope = entry.scope;
       for (const Region& region : input.regions) {
         if (region.kind != Region::Kind::kWeights || region.units <= 0) continue;
         int row = -1;
@@ -764,14 +722,13 @@ Report run_scheme_injection(Injection injection,
       return report;
     }
     case Injection::kSchemeTiming: {
-      // Falsify the declared serialization shape: claim passthrough for a
-      // crypto scheme, claim serialized AES for baseline.
-      sim::SchemeContract falsified = entry.model->contract();
-      falsified.read_shape =
-          falsified.read_shape == sim::SerializationShape::kPassthrough
-              ? sim::SerializationShape::kAesAfterData
-              : sim::SerializationShape::kPassthrough;
-      check_scheme_timing(entry, falsified, report);
+      // Claim the other shape's family: passthrough for a crypto scheme,
+      // serialized AES for baseline.
+      check_scheme_timing(entry,
+                          entry.family == sim::EncryptionScheme::kNone
+                              ? sim::EncryptionScheme::kDirect
+                              : sim::EncryptionScheme::kNone,
+                          report);
       return report;
     }
     case Injection::kSchemeRegistry: {

@@ -1,23 +1,34 @@
 // The scheme.* rule family: conformance of any registered secure-memory
-// scheme against its own declared SchemeContract (sim/scheme_model.hpp), and
-// the repository's one proof that protected bytes cross the bus as
-// ciphertext.
+// scheme against the obligations its registry row implies, and the
+// repository's one proof that protected bytes cross the bus as ciphertext.
 //
-// Every clause is read off the contract of a registry entry and proved
+// A scheme is its row (sim/scheme_registry.hpp): every clause below is
+// derived from the row's cipher family and protection scope, and proved
 // against the evidence of a real run — the byte-provenance taint ledger
 // (verify/taint.hpp), the controllers' SimStats accounting, and a timing
 // micro-probe through a real MemoryController. A scheme added to the
-// registry is covered with no checker changes, and a scheme whose contract
-// lies about its dataflow is caught.
+// registry is covered with no checker changes.
 //
-//   scheme.registry  static table consistency: unique CLI/display names,
-//                    scope <-> selective <-> contract agreement, counter
-//                    metadata declared iff a counter cache is used.
-//   scheme.wire      ledger bytes respect the contract's WireVisibility
-//                    (plan-boundary schemes follow the plan's rows/channels;
-//                    weights-cipher schemes split by region kind; full
-//                    schemes admit no wrong-side bytes at all); bytes outside
-//                    every known region are a warning.
+//   family   metadata          AES occupancy   secure read shape
+//   kNone    none              none            passthrough (plain DRAM)
+//   kDirect  none              every enc. byte AES after the data arrives
+//   kCounter counter lines     every enc. byte pad overlaps the data fetch;
+//                                              hidden on a counter hit, +1 XOR
+//
+//   scope      must be ciphertext on the wire
+//   kNone      nothing (every data byte plaintext)
+//   kAll       every data byte
+//   kPlanRows  the plan's protected rows/channels (and the output buffer)
+//   kWeights   every weight byte; feature maps plaintext
+//
+//   scheme.registry  static table consistency: unique CLI and display names,
+//                    both spellings round-trip through find_scheme(), and
+//                    family is kNone iff scope is kNone.
+//   scheme.wire      ledger bytes sit on the side the scope requires (plan
+//                    rows follow the plan's rows/channels; weights-only
+//                    splits by region kind; none/all admit no wrong-side
+//                    bytes at all); bytes outside every known region are a
+//                    warning.
 //   scheme.boundary  row-level protection boundary over weight regions:
 //                    the observed plaintext/ciphertext row sets match the
 //                    scope (plan rows / all / none / every weight row); over
@@ -25,15 +36,14 @@
 //   scheme.metadata  metadata-traffic reconciliation: counter_traffic ==
 //                    fills + writebacks + flushes, fills == misses x line,
 //                    ledger counter-region bytes == controller accounting —
-//                    and all of it zero for schemes declaring kNone.
+//                    and all of it zero unless the family is kCounter.
 //   scheme.coverage  SimStats identities: encrypted + bypassed bytes
 //                    partition the secure-capable traffic per scope, and AES
-//                    occupancy is paid iff the contract says so.
+//                    occupancy is paid iff the family is not kNone.
 //   scheme.timing    serialization-shape micro-probe: a fresh controller per
 //                    entry measures a secure line read against the plain
-//                    baseline (passthrough = equal; AES-after-data strictly
-//                    slower; pad-overlap hides AES behind DRAM on a counter
-//                    hit, +1 XOR cycle).
+//                    baseline and holds it to a claimed family's shape
+//                    (normally the entry's own).
 //   scheme.oracle    known-plaintext cross-check over a functional
 //                    transcript's wire captures: a transfer whose encrypted
 //                    flag claims ciphertext must not carry the known
@@ -98,10 +108,10 @@ void check_scheme_registry(std::span<const sim::SchemeInfo> entries,
                            Report& report);
 
 /// Micro-probes `entry`'s secure read path through a fresh MemoryController
-/// and holds the measured serialization against `claimed.read_shape`
-/// (normally the entry's own contract; injections pass a falsified one).
+/// and holds the measured serialization against the read shape of the
+/// `claimed` family (normally entry.family; injections pass another).
 void check_scheme_timing(const sim::SchemeInfo& entry,
-                         const sim::SchemeContract& claimed, Report& report);
+                         sim::EncryptionScheme claimed, Report& report);
 
 // --- post-run rules ---------------------------------------------------------
 
@@ -119,7 +129,7 @@ void check_scheme_oracle(const SchemeRunEvidence& evidence, Report& report);
 
 /// The ledger-vs-controller clause of scheme.metadata on its own: the
 /// ledger's counter-region bytes must equal the controllers' metadata
-/// accounting, and both must be zero for a scheme declaring no metadata.
+/// accounting, and both must be zero outside the counter family.
 void check_scheme_metadata_ledger(const sim::SchemeInfo& entry,
                                   const TaintLedger& ledger,
                                   std::uint64_t controller_counter_bytes,
@@ -136,7 +146,7 @@ void check_scheme_metadata_ledger(const sim::SchemeInfo& entry,
 /// Functional transcript of every paper registry entry (SEAL-D/SEAL-C only
 /// when `input` carries a plan), or of `only` when given, checked by
 /// scheme.wire, scheme.boundary (full coverage) and scheme.oracle; a
-/// counter-metadata entry adds the counter replay, checked by
+/// counter-family entry adds the counter replay, checked by
 /// scheme.metadata. Honors input.inject for the injections staged inside the
 /// harness (kAuditCounter detaches the probe before the counter flush;
 /// kAuditOracle forges a capture whose encrypted flag lies). Returns the
@@ -149,7 +159,7 @@ int run_functional_audit(const AnalysisInput& input, Report& report,
 /// Applies an --inject-scheme `injection` to copies of the entry/evidence
 /// and runs the targeted checker(s); the returned report must contain the
 /// rules its table row fires. kSchemeWire/kSchemeBoundary need a scheme
-/// whose wire policy has a must-cipher side (any entry except baseline).
+/// whose scope has a must-cipher side (any entry except baseline).
 /// Throws std::invalid_argument for an injection of another flag.
 [[nodiscard]] Report run_scheme_injection(Injection injection,
                                           const sim::SchemeInfo& entry,

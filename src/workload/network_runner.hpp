@@ -11,7 +11,6 @@
 #include "core/encryption_plan.hpp"
 #include "core/model_layout.hpp"
 #include "sim/gpu_config.hpp"
-#include "sim/scheme_model.hpp"
 #include "sim/sim_stats.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -76,7 +75,7 @@ struct RunOptions {
   /// When true, a SEAL plan (from `plan`) drives selective encryption; when
   /// false the whole address space is treated per the scheme.
   bool selective = false;
-  /// Protection-scope override (sim/scheme_model.hpp). Unset — the default —
+  /// Protection-scope override (sim/gpu_config.hpp). Unset — the default —
   /// derives the scope from `selective` and the scheme family: selective
   /// schemes protect the plan's rows, full schemes everything. kWeights
   /// (GuardNN-style) builds a weights-only secure map with no plan and runs

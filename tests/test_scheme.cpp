@@ -1,6 +1,6 @@
-// Scheme registry, SchemeModel contracts, and the scheme.* conformance
-// analyzer (src/verify/scheme_checkers.*), plus the counter-cache edge cases
-// the pluggable metadata path leans on.
+// Scheme registry, the obligations each row implies, and the scheme.*
+// conformance analyzer (src/verify/scheme_checkers.*), plus the counter-cache
+// edge cases the metadata path leans on.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -40,27 +40,13 @@ TEST(SchemeRegistry, CliAndDisplayNamesResolve) {
   EXPECT_EQ(sim::find_scheme(""), nullptr);
 }
 
-// Name <-> enum <-> CLI drift: every EncryptionScheme family must have a
-// canonical registry entry whose display name matches scheme_name(), so the
-// enum can never gain a value the shared table does not know about.
-TEST(SchemeRegistry, EveryFamilyHasCanonicalEntry) {
-  for (const sim::EncryptionScheme family :
-       {sim::EncryptionScheme::kNone, sim::EncryptionScheme::kDirect,
-        sim::EncryptionScheme::kCounter}) {
-    const sim::SchemeInfo& canonical = sim::default_scheme_for(family);
-    EXPECT_EQ(canonical.family, family);
-    EXPECT_FALSE(canonical.selective());
-    EXPECT_STREQ(canonical.display, sim::scheme_name(family));
-  }
-}
-
 TEST(SchemeRegistry, ApplySchemeWiresConfig) {
   for (const sim::SchemeInfo& info : sim::scheme_registry()) {
     sim::GpuConfig config = sim::GpuConfig::gtx480();
     sim::apply_scheme(info, config);
     EXPECT_EQ(config.scheme, info.family);
     EXPECT_EQ(config.selective, info.selective());
-    EXPECT_EQ(config.scheme_model, info.model);
+    EXPECT_EQ(config.split_counters, info.split_counters);
   }
 }
 
@@ -79,8 +65,6 @@ TEST(SchemeRegistry, DuplicateNameFails) {
   EXPECT_TRUE(report.fired("scheme.registry"));
 }
 
-// A registry that loses an entry (a "missing entry" drift) is caught: the
-// canonical family coverage breaks as soon as a family's entry disappears.
 TEST(SchemeRegistry, RuleListMatchesFamilyCount) {
   const auto rules = verify::scheme_rules();
   EXPECT_EQ(rules.size(), 7u);  // six timing-run rules + scheme.oracle
@@ -91,26 +75,27 @@ TEST(SchemeRegistry, RuleListMatchesFamilyCount) {
   }
 }
 
-// ------------------------------------------------------- timing contracts ---
+// ------------------------------------------------------- timing shapes ---
 
 TEST(SchemeTiming, EveryContractMatchesMeasuredShape) {
   for (const sim::SchemeInfo& info : sim::scheme_registry()) {
     verify::Report report;
-    verify::check_scheme_timing(info, info.model->contract(), report);
+    verify::check_scheme_timing(info, info.family, report);
     EXPECT_EQ(report.error_count(), 0u)
         << info.cli_name << ": " << report.to_text();
   }
 }
 
+// Claiming the other shape's family (passthrough for a crypto scheme,
+// serialized AES for baseline) fires for every entry.
 TEST(SchemeTiming, FalsifiedShapeFiresForEveryEntry) {
   for (const sim::SchemeInfo& info : sim::scheme_registry()) {
-    sim::SchemeContract falsified = info.model->contract();
-    falsified.read_shape =
-        falsified.read_shape == sim::SerializationShape::kPassthrough
-            ? sim::SerializationShape::kAesAfterData
-            : sim::SerializationShape::kPassthrough;
+    const sim::EncryptionScheme claimed =
+        info.family == sim::EncryptionScheme::kNone
+            ? sim::EncryptionScheme::kDirect
+            : sim::EncryptionScheme::kNone;
     verify::Report report;
-    verify::check_scheme_timing(info, falsified, report);
+    verify::check_scheme_timing(info, claimed, report);
     EXPECT_TRUE(report.fired("scheme.timing")) << info.cli_name;
   }
 }
@@ -123,7 +108,8 @@ TEST(SchemeTiming, SplitCounterPacksMoreCountersPerLine) {
   const sim::SchemeInfo* split = sim::find_scheme("split-counter");
   ASSERT_NE(counter, nullptr);
   ASSERT_NE(split, nullptr);
-  EXPECT_EQ(split->model, counter->model);
+  EXPECT_EQ(split->family, counter->family);
+  EXPECT_EQ(split->scope, counter->scope);
   sim::GpuConfig config = sim::GpuConfig::gtx480();
   sim::apply_scheme(*split, config);
   EXPECT_TRUE(config.split_counters);

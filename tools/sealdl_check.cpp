@@ -196,6 +196,7 @@ int main(int argc, char** argv) {
     const std::vector<models::LayerSpec> specs =
         parse_workload(workload, input_hw);
 
+    const verify::AnalysisInput input = verify::build_input(specs, options);
     if (!inject_name.empty()) {
       // Self-test: stage each selected injection and demand its rules fire.
       // audit-* rows also transcribe the scheme they corrupt, since the
@@ -207,18 +208,20 @@ int main(int argc, char** argv) {
            .mode = "inject-all",
            .workload = workload,
            .residual_topology =
-               !verify::residual_edges_from_names(specs).empty()});
+               !verify::residual_edges_from_names(specs).empty(),
+           .plain_weight_row =
+               verify::first_plain_weight_row(input).has_value()});
       const bool all_caught =
           self_test.run(selected, [&](verify::Injection injection) {
             verify::BuildOptions staged = options;
             staged.inject = injection;
-            const verify::AnalysisInput input =
+            const verify::AnalysisInput corrupted =
                 verify::build_input(specs, staged);
             verify::Report report = verify::run_checkers(
-                input, verify::default_checkers(trace_options));
+                corrupted, verify::default_checkers(trace_options));
             if (const char* scheme =
                     verify::injection_info(injection).audit_scheme) {
-              verify::run_functional_audit(input, report,
+              verify::run_functional_audit(corrupted, report,
                                            &sim::parse_scheme(scheme));
             }
             return report;
@@ -229,7 +232,6 @@ int main(int argc, char** argv) {
       return all_caught ? 0 : 1;
     }
 
-    const verify::AnalysisInput input = verify::build_input(specs, options);
     verify::Report report =
         verify::run_checkers(input, verify::default_checkers(trace_options));
     if (scheme_audit) {

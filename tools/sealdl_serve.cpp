@@ -32,9 +32,9 @@
 //
 // --scheme-audit attaches one byte-provenance taint probe per served network
 // during the profiling stage and proves each profiling run against the
-// scheme's declared contract (the scheme.* rule family) before the server
-// starts — every registered scheme, paper and rival alike (docs/ANALYSIS.md,
-// "Security analysis").
+// obligations of the scheme's registry row (the scheme.* rule family) before
+// the server starts — every registered scheme, paper and rival alike
+// (docs/ANALYSIS.md, "Security analysis").
 //
 // Exit codes: 0 success, 1 runtime error or unknown flag, 2 invalid serving
 // configuration —

@@ -29,13 +29,13 @@
 //
 // Security audit (network workloads only):
 //   --scheme-audit            attach a byte-provenance taint probe to the bus,
-//                             then prove the run against the scheme's own
-//                             declared SchemeContract via the scheme.* rule
-//                             family (docs/ANALYSIS.md) — every registered
-//                             scheme, paper and rival alike
+//                             then prove the run against the obligations
+//                             its registry row (family + scope) implies via
+//                             the scheme.* rule family (docs/ANALYSIS.md) —
+//                             every registered scheme, paper and rival alike
 //   --scheme-audit-json p     write the ledger + findings (implies the audit);
 //                             byte-identical across --jobs values
-//   --inject-scheme <n|all>   seed a scheme-contract violation and exit 0
+//   --inject-scheme <n|all>   seed a scheme.* violation and exit 0
 //                             only if the matching scheme.* rule fires
 //                             (self-test; implies --scheme-audit evidence)
 //   --inject-scheme-json p    machine-readable ledger for --inject-scheme all
